@@ -77,8 +77,9 @@ struct SensitivityInfo {
 /// exhaustive enumeration of every non-decreasing cut tuple over the same
 /// collapsed candidate grid. `argmin_match` is gated for every `k`;
 /// `eval_ratio` (exhaustive tuples over descent probes) is gated at >= 5
-/// for `k > 2`; `scalar_parity` (bitwise equality with the deprecated
-/// scalar minimizer) is gated on the canonical pair.
+/// for `k > 2`; `scalar_parity` (bitwise equality with the profiled
+/// analytic search on threshold, split, total and probes) is gated on the
+/// canonical pair.
 #[derive(Serialize)]
 struct KwayEntry {
     workload: String,
@@ -236,8 +237,9 @@ fn kway_step(space: &ThresholdSpace, k: usize) -> f64 {
 /// cut tuple priced via [`CurveEval::partition_total`], strict `<` keeping
 /// the first — lexicographically lowest — winner, matching the descent's
 /// tie-break) using at least 5x fewer objective probes for `k > 2`. On the
-/// canonical pair the partition minimizer must reproduce the deprecated
-/// scalar minimizer bitwise.
+/// canonical pair the partition minimizer must reproduce the profiled
+/// analytic search (`Strategy::Analytic` at the same step) bitwise:
+/// threshold, split, total, and probes against its `grad_probes`.
 fn kway_gate<W: Profilable>(
     name: &str,
     w: &W,
@@ -319,20 +321,26 @@ fn kway_gate<W: Profilable>(
             ));
         }
         let scalar_parity = set.is_canonical_pair().then(|| {
-            #[allow(deprecated)] // pinning the scalar shim against the partition path
-            let scalar = minimize_curve(curve.as_ref(), &space, step, None);
+            let scalar = Searcher::new(Strategy::Analytic { step: Some(step) })
+                .pool(pool)
+                .profiled()
+                .run(w);
+            let split = curve.split_for(space.clamp(scalar.best_t));
             let parity = cd.thresholds.len() == 1
-                && cd.thresholds[0].to_bits() == scalar.threshold.to_bits()
-                && cd.partition.cuts() == [scalar.split]
-                && cd.total == scalar.total;
+                && cd.thresholds[0].to_bits() == scalar.best_t.to_bits()
+                && cd.partition.cuts() == [split]
+                && cd.total == scalar.best_time
+                && cd.probes == scalar.grad_probes;
             if !parity {
                 mismatches.push(format!(
-                    "{name}/{}: partition minimum (t = {:?}, total {}) is not bitwise the scalar minimum (t = {}, total {})",
+                    "{name}/{}: partition minimum (t = {:?}, total {}, {} probes) is not bitwise the analytic search (t = {}, total {}, {} probes)",
                     set.name(),
                     cd.thresholds,
                     cd.total,
-                    scalar.threshold,
-                    scalar.total
+                    cd.probes,
+                    scalar.best_t,
+                    scalar.best_time,
+                    scalar.grad_probes
                 ));
             }
             parity

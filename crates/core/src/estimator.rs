@@ -5,8 +5,7 @@
 //! [`Strategy`](crate::search::Strategy), optionally set the sample spec,
 //! seed, repeat count, recorder, and pool, then [`Estimator::run`] (or
 //! [`Estimator::profiled`]`().run(…)` to price the Identify step through a
-//! cost profile of the sample). The free `estimate*` functions are
-//! deprecated shims over the builder.
+//! cost profile of the sample).
 //!
 //! ```
 //! use nbwp_core::prelude::*;
@@ -25,67 +24,20 @@ use nbwp_sim::{DeviceSet, SimTime};
 use nbwp_trace::{ArgValue, AuditEvent, CacheDecision, FlightRecorder, Recorder};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
-use crate::fingerprint::Fingerprinted;
+use crate::fingerprint::{ExactKey, Fingerprinted, NearKey};
 use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable};
 use crate::profile::Profilable;
 use crate::search::{PartitionOutcome, SearchOutcome, Searcher, Strategy};
-use crate::threshold_cache::{CacheKey, ConfigKey, NearCacheKey, PartitionNearKey, ThresholdCache};
+use crate::threshold_cache::{
+    CacheKey, Cached, ConfigKey, NearCacheKey, PartitionNearKey, ThresholdCache,
+};
 
 /// Default shadow-regret sampling rate: every 16th near-key warm hit also
 /// runs the cold path and prices both decisions on the full input (see
 /// [`Estimator::shadow_rate`]). Chosen so the steady-state serving cost
 /// stays within the bounded-overhead contract (exact hits never shadow).
 pub const DEFAULT_SHADOW_RATE: f64 = 1.0 / 16.0;
-
-/// Which Identify strategy (§II Step 2) to run on the sampled input.
-///
-/// This is the *serializable config-file subset* of
-/// [`Strategy`](crate::search::Strategy) — experiment configs deserialize
-/// it, and [`From`] lifts it into the full strategy enum (which adds the
-/// analytic subgradient search and explicit step overrides).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum IdentifyStrategy {
-    /// Coarse stride then fine stride (the paper's CC choice: 8 → 1).
-    CoarseToFine,
-    /// Device-race rough split then fine search (the paper's spmm choice).
-    RaceThenFine,
-    /// Discrete hill climbing (the paper's scale-free choice) with an
-    /// evaluation budget.
-    GradientDescent {
-        /// Maximum candidate evaluations.
-        max_evals: usize,
-    },
-    /// Exhaustive search on the sample (upper bound on identify quality).
-    Exhaustive,
-}
-
-impl IdentifyStrategy {
-    /// Stable snake_case name, used as a span argument in traces.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            IdentifyStrategy::CoarseToFine => "coarse_to_fine",
-            IdentifyStrategy::RaceThenFine => "race_then_fine",
-            IdentifyStrategy::GradientDescent { .. } => "gradient_descent",
-            IdentifyStrategy::Exhaustive => "exhaustive",
-        }
-    }
-}
-
-impl From<IdentifyStrategy> for Strategy {
-    fn from(s: IdentifyStrategy) -> Strategy {
-        match s {
-            IdentifyStrategy::CoarseToFine => Strategy::CoarseToFine,
-            IdentifyStrategy::RaceThenFine => Strategy::RaceThenFine,
-            IdentifyStrategy::GradientDescent { max_evals } => {
-                Strategy::GradientDescent { max_evals }
-            }
-            IdentifyStrategy::Exhaustive => Strategy::Exhaustive { step: None },
-        }
-    }
-}
 
 /// Result of one sampling-based estimation.
 #[derive(Clone, Debug, PartialEq)]
@@ -160,6 +112,11 @@ impl<'a> Estimator<'a> {
         self
     }
 
+    /// The configured topology (default: the canonical CPU+GPU pair).
+    fn device_set(&self) -> &'a DeviceSet {
+        self.devices.unwrap_or(DeviceSet::cpu_gpu_static())
+    }
+
     /// The configuration component of this estimator's cache key.
     fn config_key(&self) -> ConfigKey {
         ConfigKey::with_devices(
@@ -167,7 +124,7 @@ impl<'a> Estimator<'a> {
             self.spec,
             self.seed,
             self.repeats,
-            self.devices.unwrap_or(DeviceSet::cpu_gpu_static()),
+            self.device_set(),
         )
     }
 
@@ -270,16 +227,27 @@ impl<'a> Estimator<'a> {
     /// Runs the configured pipeline on `workload`.
     #[must_use]
     pub fn run<W: Sampleable>(&self, workload: &W) -> SamplingEstimate {
+        let (strategy, spec) = (self.strategy, self.spec);
         let pool = self.pool.unwrap_or(Pool::global());
+        self.repeat(|seed, rec| {
+            estimate_core(workload, spec, strategy, seed, rec, |sample, rec| {
+                Searcher::new(strategy).recorder(rec).pool(pool).run(sample)
+            })
+        })
+    }
+
+    /// Runs `one(seed, recorder)` once with the configured seed and
+    /// recorder, or — with `repeats > 1` — on seeds `seed..seed + repeats`
+    /// concurrently (recorders disabled) and returns the median estimate.
+    fn repeat(&self, one: impl Fn(u64, &Recorder) -> SamplingEstimate + Sync) -> SamplingEstimate {
         if self.repeats == 1 {
             let disabled = Recorder::disabled();
-            let rec = self.rec.unwrap_or(&disabled);
-            return run_single(workload, self.strategy, self.spec, self.seed, rec, pool);
+            return one(self.seed, self.rec.unwrap_or(&disabled));
         }
-        let (strategy, spec, seed) = (self.strategy, self.spec, self.seed);
+        let seed = self.seed;
+        let pool = self.pool.unwrap_or(Pool::global());
         let runs = pool.map_indices(self.repeats, |k| {
-            let seed = seed.wrapping_add(k as u64);
-            run_single(workload, strategy, spec, seed, &Recorder::disabled(), pool)
+            one(seed.wrapping_add(k as u64), &Recorder::disabled())
         });
         median_estimate(runs)
     }
@@ -291,92 +259,7 @@ impl<'a> Estimator<'a> {
     /// *is* [`Estimator::run`].
     #[must_use]
     pub fn run_cached<W: Sampleable + Fingerprinted>(&self, workload: &W) -> SamplingEstimate {
-        let audit = active_audit(self.audit);
-        // Wall-clock timing is stride-sampled on the nanosecond-scale
-        // exact-hit path and unconditional on the slow paths, where two
-        // clock reads are noise (see the audit module's overhead contract).
-        let timer = start_if(audit.is_some_and(FlightRecorder::timing_due));
-        let Some(cache) = self.cache else {
-            return self.serve_uncached(workload, timer, audit);
-        };
-        let key = CacheKey {
-            input: workload.fingerprint().exact_key(),
-            config: self.config_key(),
-        };
-        // Exact hit: record-and-return inside the arm — the hot path stays
-        // a short straight line, with the µs-scale miss machinery outlined
-        // behind `#[inline(never)]` so the exact-hit loop body stays small
-        // (see the audit module's overhead contract).
-        if let Some(est) = cache.get_exact(&key) {
-            if let Some(a) = audit {
-                a.record(audit_event(
-                    key.input,
-                    CacheDecision::ExactHit,
-                    &est,
-                    finish_us(timer),
-                    None,
-                ));
-            }
-            if let Some(rec) = self.rec {
-                cache.flush_metrics(rec);
-            }
-            return est;
-        }
-        self.serve_miss(workload, cache, key, timer, audit)
-    }
-
-    /// Cold serve without a cache — [`Estimator::run`] plus one audit
-    /// event. Outlined: see [`Estimator::run_cached`].
-    #[inline(never)]
-    fn serve_uncached<W: Sampleable + Fingerprinted>(
-        &self,
-        workload: &W,
-        mut timer: Option<Instant>,
-        audit: Option<&FlightRecorder>,
-    ) -> SamplingEstimate {
-        arm_slow_timer(&mut timer, audit.is_some());
-        let est = self.run(workload);
-        if let Some(a) = audit {
-            a.record(audit_event(
-                workload.fingerprint().exact_key(),
-                CacheDecision::Cold,
-                &est,
-                finish_us(timer),
-                None,
-            ));
-        }
-        est
-    }
-
-    /// The exact-miss half of [`Estimator::run_cached`]: run cold, insert,
-    /// audit. Outlined so the exact-hit path stays small.
-    #[inline(never)]
-    fn serve_miss<W: Sampleable + Fingerprinted>(
-        &self,
-        workload: &W,
-        cache: &ThresholdCache,
-        key: CacheKey,
-        mut timer: Option<Instant>,
-        audit: Option<&FlightRecorder>,
-    ) -> SamplingEstimate {
-        arm_slow_timer(&mut timer, audit.is_some());
-        cache.record_miss();
-        let est = self.run(workload);
-        let near = NearCacheKey::of(workload.fingerprint().near_key(), self.strategy);
-        cache.insert(key, near, &est);
-        if let Some(a) = audit {
-            a.record(audit_event(
-                key.input,
-                CacheDecision::Cold,
-                &est,
-                finish_us(timer),
-                None,
-            ));
-        }
-        if let Some(rec) = self.rec {
-            cache.flush_metrics(rec);
-        }
-        est
+        self.serve(workload, |_| self.run(workload), None)
     }
 
     /// Serves a batch of requests: items are deduplicated by fingerprint +
@@ -396,14 +279,24 @@ impl<'a> Estimator<'a> {
         &self,
         workloads: &[W],
     ) -> Vec<SamplingEstimate> {
+        self.serve_batch(workloads, |e, w| e.run_cached(w))
+    }
+
+    /// The batch half of the serving core: groups `workloads` by exact key,
+    /// serves one representative per class through `serve_one`, and fans
+    /// the results out to duplicates.
+    fn serve_batch<W, F>(&self, workloads: &[W], serve_one: F) -> Vec<SamplingEstimate>
+    where
+        W: Fingerprinted + Sync,
+        F: Fn(&Estimator<'_>, &W) -> SamplingEstimate + Sync,
+    {
         let pool = self.pool.unwrap_or(Pool::global());
-        let config = self.config_key();
-        let (reps, group_of) = batch_groups(workloads, config);
+        let (reps, group_of) = batch_groups(workloads, self.config_key());
         let results = if active_audit(self.audit).is_some() {
             let mut e = *self;
             e.rec = None;
             e.pool = Some(pool);
-            reps.iter().map(|&i| e.run_cached(&workloads[i])).collect()
+            reps.iter().map(|&i| serve_one(&e, &workloads[i])).collect()
         } else {
             // Rebuild a recorder-free estimator inside the closure: the
             // recorders are single-threaded, everything else is `Sync`.
@@ -429,13 +322,184 @@ impl<'a> Estimator<'a> {
                     shadow_rate,
                     devices,
                 };
-                e.run_cached(&workloads[i])
+                serve_one(&e, &workloads[i])
             })
         };
         if let (Some(rec), Some(cache)) = (self.rec, self.cache) {
             cache.flush_metrics(rec);
         }
         group_of.into_iter().map(|g| results[g].clone()).collect()
+    }
+
+    /// The serving core behind [`Estimator::run_cached`],
+    /// [`ProfiledEstimator::run_cached`] and
+    /// [`ProfiledEstimator::run_partition_cached`]: an exact-key hit in the
+    /// attached cache returns the cached decision, bitwise; anything else
+    /// goes to [`Estimator::serve_miss`]. `run(warm)` computes a decision
+    /// (cold with `None`); `shadow` prices a warm decision's regret against
+    /// a cold rerun and is `None` for pipelines that never warm-start.
+    fn serve<W: Fingerprinted, D: Served>(
+        &self,
+        workload: &W,
+        run: impl Fn(Option<&[f64]>) -> D,
+        shadow: Option<&dyn Fn(&D) -> f64>,
+    ) -> D {
+        let audit = active_audit(self.audit);
+        // Wall-clock timing is stride-sampled on the nanosecond-scale
+        // exact-hit path and unconditional on the slow paths, where two
+        // clock reads are noise (see the audit module's overhead contract).
+        let timer = start_if(audit.is_some_and(FlightRecorder::timing_due));
+        let Some(cache) = self.cache else {
+            return self.serve_miss(workload, None, timer, audit, run, shadow);
+        };
+        let key = CacheKey {
+            input: workload.fingerprint().exact_key(),
+            config: self.config_key(),
+        };
+        // Exact hit: record-and-return inside the arm — the hot path stays
+        // a short straight line, with the µs-scale miss machinery outlined
+        // behind `#[inline(never)]` so the exact-hit loop body stays small
+        // (see the audit module's overhead contract).
+        if let Some(hit) = cache.lookup::<D>(&key) {
+            if let Some(a) = audit {
+                a.record(audit_event(
+                    key.input,
+                    CacheDecision::ExactHit,
+                    &hit,
+                    finish_us(timer),
+                    None,
+                ));
+            }
+            if let Some(rec) = self.rec {
+                cache.flush_metrics(rec);
+            }
+            return hit;
+        }
+        self.serve_miss(workload, Some((cache, key)), timer, audit, run, shadow)
+    }
+
+    /// The slow half of [`Estimator::serve`]. Without a cache: one cold run
+    /// plus its audit event. With one: count the miss; on a near-key hit
+    /// under [`Strategy::Analytic`] warm-start from the cached decision's
+    /// cuts, credit the probes saved and stride-sample the shadow regret;
+    /// otherwise run cold. Then insert, audit, and flush.
+    #[inline(never)]
+    fn serve_miss<W: Fingerprinted, D: Served>(
+        &self,
+        workload: &W,
+        cached: Option<(&ThresholdCache, CacheKey)>,
+        mut timer: Option<Instant>,
+        audit: Option<&FlightRecorder>,
+        run: impl Fn(Option<&[f64]>) -> D,
+        shadow: Option<&dyn Fn(&D) -> f64>,
+    ) -> D {
+        arm_slow_timer(&mut timer, audit.is_some());
+        let Some((cache, key)) = cached else {
+            let cold = run(None);
+            if let Some(a) = audit {
+                a.record(audit_event(
+                    workload.fingerprint().exact_key(),
+                    CacheDecision::Cold,
+                    &cold,
+                    finish_us(timer),
+                    None,
+                ));
+            }
+            return cold;
+        };
+        cache.record_miss::<D>();
+        let near = D::near_key(
+            workload.fingerprint().near_key(),
+            self.strategy,
+            self.device_set(),
+        );
+        // Warm starts only transfer under the analytic strategy — it is
+        // the only one that descends from a seed.
+        let warm = match shadow {
+            Some(shadow) if matches!(self.strategy, Strategy::Analytic { .. }) => {
+                cache.lookup_near::<D>(&near).map(|hint| (hint, shadow))
+            }
+            _ => None,
+        };
+        let mut shadow_regret = None;
+        let (served, decision) = match warm {
+            Some((hint, shadow)) => {
+                let served = run(Some(hint.warm_cuts()));
+                cache.record_probes_saved(hint.probes().saturating_sub(served.probes()) as u64);
+                // Shadow-regret sampling (stride-gated): also run the cold
+                // path and price both decisions. Pure observation — the
+                // warm decision below is returned untouched.
+                if cache.shadow_due(self.shadow_rate) {
+                    let regret = shadow(&served);
+                    cache.record_shadow(regret);
+                    shadow_regret = Some(regret);
+                }
+                (served, CacheDecision::NearHit)
+            }
+            None => (run(None), CacheDecision::Cold),
+        };
+        cache.store(key, near, &served);
+        if let Some(a) = audit {
+            a.record(audit_event(
+                key.input,
+                decision,
+                &served,
+                finish_us(timer),
+                shadow_regret,
+            ));
+        }
+        if let Some(rec) = self.rec {
+            cache.flush_metrics(rec);
+        }
+        served
+    }
+}
+
+/// What the serving core needs from a decision type beyond caching it.
+trait Served: Cached {
+    /// The tier's near key for an input class under this configuration.
+    fn near_key(input: NearKey, strategy: Strategy, set: &DeviceSet) -> Self::Near;
+    /// The cut vector a near hit on this decision warm-starts from; its
+    /// length + 1 is the decision's partition arity.
+    fn warm_cuts(&self) -> &[f64];
+    /// Probes the search spent — the baseline a warm start saves against.
+    fn probes(&self) -> usize;
+    /// The audited threshold, candidate evaluations, and simulated cost.
+    fn audited(&self) -> (f64, u64, SimTime);
+}
+
+impl Served for SamplingEstimate {
+    fn near_key(input: NearKey, strategy: Strategy, _set: &DeviceSet) -> NearCacheKey {
+        NearCacheKey::of(input, strategy)
+    }
+    fn warm_cuts(&self) -> &[f64] {
+        std::slice::from_ref(&self.sample_threshold)
+    }
+    fn probes(&self) -> usize {
+        self.grad_probes
+    }
+    fn audited(&self) -> (f64, u64, SimTime) {
+        (self.threshold, self.evaluations as u64, self.overhead)
+    }
+}
+
+impl Served for PartitionOutcome {
+    fn near_key(input: NearKey, _strategy: Strategy, set: &DeviceSet) -> PartitionNearKey {
+        PartitionNearKey::of(input, set)
+    }
+    fn warm_cuts(&self) -> &[f64] {
+        &self.cuts
+    }
+    fn probes(&self) -> usize {
+        self.probes
+    }
+    fn audited(&self) -> (f64, u64, SimTime) {
+        let scalar = self.scalar.as_ref();
+        (
+            self.cuts.first().copied().unwrap_or(f64::NAN),
+            scalar.map_or(0, |s| s.evaluations() as u64),
+            scalar.map_or(SimTime::ZERO, |s| s.search_cost),
+        )
     }
 }
 
@@ -494,81 +558,31 @@ fn finish_us(timer: Option<Instant>) -> Option<f64> {
 /// evaluations, probes, and simulated cost are zero regardless of what the
 /// populating run paid. Takes the already-derived [`ExactKey`] rather than
 /// the workload: re-fingerprinting would copy the full sketch (hundreds of
-/// bytes) on the nanosecond-scale exact-hit path.
-fn audit_event(
-    exact: crate::fingerprint::ExactKey,
+/// bytes) on the nanosecond-scale exact-hit path. A scalar estimate is a
+/// two-way split regardless of the cache key's configured topology.
+fn audit_event<D: Served>(
+    exact: ExactKey,
     decision: CacheDecision,
-    est: &SamplingEstimate,
+    served: &D,
     latency_us: Option<f64>,
     shadow_regret_pct: Option<f64>,
 ) -> AuditEvent {
-    let latency_us = latency_us.unwrap_or(f64::NAN);
-    let shadow_regret_pct = shadow_regret_pct.unwrap_or(f64::NAN);
+    let (threshold, evaluations, sim_cost) = served.audited();
     let spent = decision != CacheDecision::ExactHit;
     AuditEvent {
         kind: exact.kind,
         digest: exact.digest,
         decision,
-        threshold: est.threshold,
-        evaluations: if spent { est.evaluations as u64 } else { 0 },
-        grad_probes: if spent { est.grad_probes as u64 } else { 0 },
-        sim_cost_ms: if spent { est.overhead.as_millis() } else { 0.0 },
-        latency_us,
-        shadow_regret_pct,
-        // A scalar estimate is a two-way split regardless of the cache
-        // key's configured topology.
-        arity: 2,
-        span_fraction: f64::NAN,
-        crossover_estimate: f64::NAN,
-    }
-}
-
-/// Builds the audit event for one served k-way partition request. Same
-/// work-counter convention as [`audit_event`]: an exact hit returned a
-/// clone, so it spent nothing.
-fn partition_audit_event(
-    exact: crate::fingerprint::ExactKey,
-    decision: CacheDecision,
-    out: &PartitionOutcome,
-    arity: u64,
-    latency_us: Option<f64>,
-    shadow_regret_pct: Option<f64>,
-) -> AuditEvent {
-    let spent = decision != CacheDecision::ExactHit;
-    let evaluations = out.scalar.as_ref().map_or(0, |s| s.evaluations() as u64);
-    let sim_cost_ms = out
-        .scalar
-        .as_ref()
-        .map_or(0.0, |s| s.search_cost.as_millis());
-    AuditEvent {
-        kind: exact.kind,
-        digest: exact.digest,
-        decision,
-        threshold: out.cuts.first().copied().unwrap_or(f64::NAN),
+        threshold,
         evaluations: if spent { evaluations } else { 0 },
-        grad_probes: if spent { out.probes as u64 } else { 0 },
-        sim_cost_ms: if spent { sim_cost_ms } else { 0.0 },
+        grad_probes: if spent { served.probes() as u64 } else { 0 },
+        sim_cost_ms: if spent { sim_cost.as_millis() } else { 0.0 },
         latency_us: latency_us.unwrap_or(f64::NAN),
         shadow_regret_pct: shadow_regret_pct.unwrap_or(f64::NAN),
-        arity,
+        arity: served.warm_cuts().len() as u64 + 1,
         span_fraction: f64::NAN,
         crossover_estimate: f64::NAN,
     }
-}
-
-/// One unprofiled estimation (shared by the single and repeated paths; the
-/// repeated path runs concurrently, so this must not capture the builder).
-fn run_single<W: Sampleable>(
-    workload: &W,
-    strategy: Strategy,
-    spec: SampleSpec,
-    seed: u64,
-    rec: &Recorder,
-    pool: &Pool,
-) -> SamplingEstimate {
-    estimate_core(workload, spec, strategy.name(), seed, rec, |sample, rec| {
-        Searcher::new(strategy).recorder(rec).pool(pool).run(sample)
-    })
 }
 
 /// An [`Estimator`] whose Identify step prices candidates through a cost
@@ -587,7 +601,7 @@ impl ProfiledEstimator<'_> {
         W: Sampleable,
         W::Sample: Profilable,
     {
-        self.run_with_hint(workload, None)
+        self.run_warm(workload, None)
     }
 
     /// [`ProfiledEstimator::run`] behind the attached [`ThresholdCache`]:
@@ -603,122 +617,11 @@ impl ProfiledEstimator<'_> {
         W: Sampleable + Fingerprinted,
         W::Sample: Profilable,
     {
-        let cfg = &self.inner;
-        let audit = active_audit(cfg.audit);
-        let timer = start_if(audit.is_some_and(FlightRecorder::timing_due));
-        let Some(cache) = cfg.cache else {
-            return self.serve_uncached(workload, timer, audit);
-        };
-        let key = CacheKey {
-            input: workload.fingerprint().exact_key(),
-            config: cfg.config_key(),
-        };
-        // Exact hit: record-and-return inside the arm — the hot path stays
-        // a short straight line, with the µs-scale miss machinery outlined
-        // behind `#[inline(never)]` so the exact-hit loop body stays small
-        // (see the audit module's overhead contract).
-        if let Some(est) = cache.get_exact(&key) {
-            if let Some(a) = audit {
-                a.record(audit_event(
-                    key.input,
-                    CacheDecision::ExactHit,
-                    &est,
-                    finish_us(timer),
-                    None,
-                ));
-            }
-            if let Some(rec) = cfg.rec {
-                cache.flush_metrics(rec);
-            }
-            return est;
-        }
-        self.serve_miss(workload, cache, key, timer, audit)
-    }
-
-    /// Cold serve without a cache — [`ProfiledEstimator::run`] plus one
-    /// audit event. Outlined: see [`ProfiledEstimator::run_cached`].
-    #[inline(never)]
-    fn serve_uncached<W>(
-        &self,
-        workload: &W,
-        mut timer: Option<Instant>,
-        audit: Option<&FlightRecorder>,
-    ) -> SamplingEstimate
-    where
-        W: Sampleable + Fingerprinted,
-        W::Sample: Profilable,
-    {
-        arm_slow_timer(&mut timer, audit.is_some());
-        let est = self.run(workload);
-        if let Some(a) = audit {
-            a.record(audit_event(
-                workload.fingerprint().exact_key(),
-                CacheDecision::Cold,
-                &est,
-                finish_us(timer),
-                None,
-            ));
-        }
-        est
-    }
-
-    /// The exact-miss half of [`ProfiledEstimator::run_cached`]: near-hit
-    /// warm start, shadow-regret sampling, insert, audit. Outlined so the
-    /// exact-hit path stays small.
-    #[inline(never)]
-    fn serve_miss<W>(
-        &self,
-        workload: &W,
-        cache: &ThresholdCache,
-        key: CacheKey,
-        mut timer: Option<Instant>,
-        audit: Option<&FlightRecorder>,
-    ) -> SamplingEstimate
-    where
-        W: Sampleable + Fingerprinted,
-        W::Sample: Profilable,
-    {
-        let cfg = &self.inner;
-        arm_slow_timer(&mut timer, audit.is_some());
-        cache.record_miss();
-        let near = NearCacheKey::of(workload.fingerprint().near_key(), cfg.strategy);
-        let mut shadow_regret = None;
-        let warm = if matches!(cfg.strategy, Strategy::Analytic { .. }) {
-            cache.get_near(&near)
-        } else {
-            None
-        };
-        let (est, decision) = match warm {
-            Some(hint) => {
-                let est = self.run_with_hint(workload, Some(hint.sample_threshold));
-                cache.record_probes_saved(hint.cold_probes.saturating_sub(est.grad_probes) as u64);
-                // Shadow-regret sampling (stride-gated): also run the cold
-                // path and price both thresholds on the full input. Pure
-                // observation — the warm estimate below is returned
-                // untouched.
-                if cache.shadow_due(cfg.shadow_rate) {
-                    let regret = self.shadow_price(workload, &est);
-                    cache.record_shadow(regret);
-                    shadow_regret = Some(regret);
-                }
-                (est, CacheDecision::NearHit)
-            }
-            None => (self.run(workload), CacheDecision::Cold),
-        };
-        cache.insert(key, near, &est);
-        if let Some(a) = audit {
-            a.record(audit_event(
-                key.input,
-                decision,
-                &est,
-                finish_us(timer),
-                shadow_regret,
-            ));
-        }
-        if let Some(rec) = cfg.rec {
-            cache.flush_metrics(rec);
-        }
-        est
+        self.inner.serve(
+            workload,
+            |warm| self.run_warm(workload, warm),
+            Some(&|warm_est| self.shadow_price(workload, warm_est)),
+        )
     }
 
     /// The shadow half of the regret sampler: reruns this request cold
@@ -736,13 +639,10 @@ impl ProfiledEstimator<'_> {
         cold_cfg.cache = None;
         cold_cfg.audit = None;
         let cold_est = ProfiledEstimator { inner: cold_cfg }.run(workload);
-        let warm_cost = workload.run(warm_est.threshold).total().as_millis();
-        let cold_cost = workload.run(cold_est.threshold).total().as_millis();
-        if cold_cost > 0.0 {
-            (warm_cost / cold_cost - 1.0) * 100.0
-        } else {
-            0.0
-        }
+        regret_pct(
+            workload.run(warm_est.threshold).total(),
+            workload.run(cold_est.threshold).total(),
+        )
     }
 
     /// Serves a batch of requests through the profiled pipeline — the
@@ -756,52 +656,8 @@ impl ProfiledEstimator<'_> {
         W: Sampleable + Fingerprinted,
         W::Sample: Profilable,
     {
-        let cfg = &self.inner;
-        let pool = cfg.pool.unwrap_or(Pool::global());
-        let config = cfg.config_key();
-        let (reps, group_of) = batch_groups(workloads, config);
-        let results = if active_audit(cfg.audit).is_some() {
-            // Audited batches serve representatives sequentially: the
-            // flight recorder, like the span recorder, is single-threaded.
-            let mut inner = *cfg;
-            inner.rec = None;
-            inner.pool = Some(pool);
-            let e = ProfiledEstimator { inner };
-            reps.iter().map(|&i| e.run_cached(&workloads[i])).collect()
-        } else {
-            // Rebuild a recorder-free estimator inside the closure: the
-            // recorders are single-threaded, everything else is `Sync`.
-            let (strategy, spec, seed, repeats, cache, shadow_rate, devices) = (
-                cfg.strategy,
-                cfg.spec,
-                cfg.seed,
-                cfg.repeats,
-                cfg.cache,
-                cfg.shadow_rate,
-                cfg.devices,
-            );
-            pool.map(&reps, |&i| {
-                let e = ProfiledEstimator {
-                    inner: Estimator {
-                        strategy,
-                        spec,
-                        seed,
-                        repeats,
-                        rec: None,
-                        pool: Some(pool),
-                        cache,
-                        audit: None,
-                        shadow_rate,
-                        devices,
-                    },
-                };
-                e.run_cached(&workloads[i])
-            })
-        };
-        if let (Some(rec), Some(cache)) = (cfg.rec, cfg.cache) {
-            cache.flush_metrics(rec);
-        }
-        group_of.into_iter().map(|g| results[g].clone()).collect()
+        self.inner
+            .serve_batch(workloads, |e, w| e.profiled().run_cached(w))
     }
 
     /// Serves one full k-way partition request behind the attached
@@ -828,139 +684,18 @@ impl ProfiledEstimator<'_> {
     where
         W: Profilable + Fingerprinted,
     {
-        let cfg = &self.inner;
-        let set = cfg.devices.unwrap_or(DeviceSet::cpu_gpu_static());
-        let audit = active_audit(cfg.audit);
-        let timer = start_if(audit.is_some_and(FlightRecorder::timing_due));
-        let Some(cache) = cfg.cache else {
-            return self.serve_partition_uncached(workload, set, timer, audit);
-        };
-        let key = CacheKey {
-            input: workload.fingerprint().exact_key(),
-            config: cfg.config_key(),
-        };
-        // Exact hit: record-and-return inside the arm, miss machinery
-        // outlined — same shape as the scalar serving path (see the audit
-        // module's overhead contract).
-        if let Some(out) = cache.get_partition(&key) {
-            if let Some(a) = audit {
-                a.record(partition_audit_event(
-                    key.input,
-                    CacheDecision::ExactHit,
-                    &out,
-                    set.len() as u64,
-                    finish_us(timer),
-                    None,
-                ));
-            }
-            if let Some(rec) = cfg.rec {
-                cache.flush_metrics(rec);
-            }
-            return out;
-        }
-        self.serve_partition_miss(workload, set, cache, key, timer, audit)
-    }
-
-    /// Cold partition serve without a cache — one `run_partition` plus one
-    /// audit event. Outlined: see [`ProfiledEstimator::run_partition_cached`].
-    #[inline(never)]
-    fn serve_partition_uncached<W>(
-        &self,
-        workload: &W,
-        set: &DeviceSet,
-        mut timer: Option<Instant>,
-        audit: Option<&FlightRecorder>,
-    ) -> PartitionOutcome
-    where
-        W: Profilable + Fingerprinted,
-    {
-        arm_slow_timer(&mut timer, audit.is_some());
-        let out = self.run_partition_with(workload, set, None);
-        if let Some(a) = audit {
-            a.record(partition_audit_event(
-                workload.fingerprint().exact_key(),
-                CacheDecision::Cold,
-                &out,
-                set.len() as u64,
-                finish_us(timer),
-                None,
-            ));
-        }
-        out
-    }
-
-    /// The exact-miss half of [`ProfiledEstimator::run_partition_cached`]:
-    /// near-hit warm descent, shadow-regret sampling, insert, audit.
-    /// Outlined so the exact-hit path stays small.
-    #[inline(never)]
-    fn serve_partition_miss<W>(
-        &self,
-        workload: &W,
-        set: &DeviceSet,
-        cache: &ThresholdCache,
-        key: CacheKey,
-        mut timer: Option<Instant>,
-        audit: Option<&FlightRecorder>,
-    ) -> PartitionOutcome
-    where
-        W: Profilable + Fingerprinted,
-    {
-        let cfg = &self.inner;
-        arm_slow_timer(&mut timer, audit.is_some());
-        cache.record_kway_miss();
-        let near = PartitionNearKey::of(workload.fingerprint().near_key(), set);
-        let mut shadow_regret = None;
-        // Warm cut vectors only transfer under the analytic strategy —
-        // it is the only one that descends from a seed (and the only one
-        // `run_partition` accepts at k > 2).
-        let warm = if matches!(cfg.strategy, Strategy::Analytic { .. }) {
-            cache
-                .get_partition_hint(&near)
-                .filter(|hint| hint.cuts.len() + 1 == set.len())
-        } else {
-            None
-        };
-        let (out, decision) = match warm {
-            Some(hint) => {
-                let out = self.run_partition_with(workload, set, Some(&hint.cuts));
-                cache.record_probes_saved(hint.cold_probes.saturating_sub(out.probes) as u64);
-                // Shadow-regret sampling (stride-gated): also run the cold
-                // multi-seed search and compare priced totals. Curve totals
-                // are exact, so no re-pricing pass is needed. Pure
-                // observation — the warm outcome below is returned
-                // untouched.
-                if cache.shadow_due(cfg.shadow_rate) {
-                    let regret = self.shadow_price_partition(workload, set, &out);
-                    cache.record_shadow(regret);
-                    shadow_regret = Some(regret);
-                }
-                (out, CacheDecision::NearHit)
-            }
-            None => (
-                self.run_partition_with(workload, set, None),
-                CacheDecision::Cold,
-            ),
-        };
-        cache.insert_partition(key, near, &out);
-        if let Some(a) = audit {
-            a.record(partition_audit_event(
-                key.input,
-                decision,
-                &out,
-                set.len() as u64,
-                finish_us(timer),
-                shadow_regret,
-            ));
-        }
-        if let Some(rec) = cfg.rec {
-            cache.flush_metrics(rec);
-        }
-        out
+        let set = self.inner.device_set();
+        self.inner.serve(
+            workload,
+            |warm| self.run_partition_with(workload, set, warm),
+            Some(&|warm_out| self.shadow_price_partition(workload, set, warm_out)),
+        )
     }
 
     /// The shadow half of the k-way regret sampler: reruns the request
     /// cold (no warm seed, no recorders) and compares the warm and cold
-    /// priced totals. Returns the warm decision's regret in percent.
+    /// priced totals — curve totals are exact, so no re-pricing pass is
+    /// needed. Returns the warm decision's regret in percent.
     fn shadow_price_partition<W: Profilable>(
         &self,
         workload: &W,
@@ -972,13 +707,7 @@ impl ProfiledEstimator<'_> {
             .pool(pool)
             .profiled()
             .run_partition(workload, set);
-        let warm_cost = warm.total.as_millis();
-        let cold_cost = cold.total.as_millis();
-        if cold_cost > 0.0 {
-            (warm_cost / cold_cost - 1.0) * 100.0
-        } else {
-            0.0
-        }
+        regret_pct(warm.total, cold.total)
     }
 
     /// Shared body of the cold (no seed) and warm-started k-way paths.
@@ -1000,213 +729,38 @@ impl ProfiledEstimator<'_> {
     }
 
     /// Shared body of [`ProfiledEstimator::run`] (no hint) and the
-    /// warm-started path (hint from a near-key cache hit). With repeats,
-    /// every repeat warm-starts from the same hint — the hint brackets the
-    /// input class, not one particular sample.
-    fn run_with_hint<W>(&self, workload: &W, warm: Option<f64>) -> SamplingEstimate
+    /// warm-started path (cuts from a near-key cache hit). With repeats,
+    /// every repeat warm-starts from the same cuts — they bracket the input
+    /// class, not one particular sample.
+    fn run_warm<W>(&self, workload: &W, warm: Option<&[f64]>) -> SamplingEstimate
     where
         W: Sampleable,
         W::Sample: Profilable,
     {
-        let cfg = &self.inner;
-        let pool = cfg.pool.unwrap_or(Pool::global());
-        if cfg.repeats == 1 {
-            let disabled = Recorder::disabled();
-            let rec = cfg.rec.unwrap_or(&disabled);
-            return run_single_profiled(
-                workload,
-                cfg.strategy,
-                cfg.spec,
-                cfg.seed,
-                warm,
-                rec,
-                pool,
-            );
-        }
-        let (strategy, spec, seed) = (cfg.strategy, cfg.spec, cfg.seed);
-        let runs = pool.map_indices(cfg.repeats, |k| {
-            let seed = seed.wrapping_add(k as u64);
-            run_single_profiled(
-                workload,
-                strategy,
-                spec,
-                seed,
-                warm,
-                &Recorder::disabled(),
-                pool,
-            )
-        });
-        median_estimate(runs)
+        let (strategy, spec) = (self.inner.strategy, self.inner.spec);
+        let pool = self.inner.pool.unwrap_or(Pool::global());
+        self.inner.repeat(|seed, rec| {
+            estimate_core(workload, spec, strategy, seed, rec, |sample, rec| {
+                let mut searcher = Searcher::new(strategy).recorder(rec).pool(pool);
+                if let Some(cuts) = warm {
+                    searcher = searcher.warm_cuts(cuts);
+                }
+                searcher.profiled().run(sample)
+            })
+        })
     }
 }
 
-/// One profiled estimation (see [`run_single`]); `warm` threads a near-hit
-/// hint into the analytic search.
-fn run_single_profiled<W>(
-    workload: &W,
-    strategy: Strategy,
-    spec: SampleSpec,
-    seed: u64,
-    warm: Option<f64>,
-    rec: &Recorder,
-    pool: &Pool,
-) -> SamplingEstimate
-where
-    W: Sampleable,
-    W::Sample: Profilable,
-{
-    let warm_cuts = warm.map(|hint| [hint]);
-    estimate_core(workload, spec, strategy.name(), seed, rec, |sample, rec| {
-        let mut searcher = Searcher::new(strategy).recorder(rec).pool(pool);
-        if let Some(cuts) = warm_cuts.as_ref() {
-            searcher = searcher.warm_cuts(cuts);
-        }
-        searcher.profiled().run(sample)
-    })
-}
-
-/// Runs the full sampling pipeline on `workload`.
-///
-/// `seed` controls the uniform sampling (Step 1); everything downstream is
-/// deterministic.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Estimator::new(strategy.into()).spec(spec).seed(seed).run(workload)"
-)]
-#[must_use]
-pub fn estimate<W: Sampleable>(
-    workload: &W,
-    spec: SampleSpec,
-    strategy: IdentifyStrategy,
-    seed: u64,
-) -> SamplingEstimate {
-    Estimator::new(strategy.into())
-        .spec(spec)
-        .seed(seed)
-        .run(workload)
-}
-
-/// [`estimate`], tracing the whole pipeline into `rec`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Estimator::new(strategy.into()).spec(spec).seed(seed).recorder(rec).run(workload)"
-)]
-#[must_use]
-pub fn estimate_with<W: Sampleable>(
-    workload: &W,
-    spec: SampleSpec,
-    strategy: IdentifyStrategy,
-    seed: u64,
-    rec: &Recorder,
-) -> SamplingEstimate {
-    Estimator::new(strategy.into())
-        .spec(spec)
-        .seed(seed)
-        .recorder(rec)
-        .run(workload)
-}
-
-/// [`estimate_with`] on an explicit worker pool.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Estimator::new(strategy.into()).spec(spec).seed(seed).recorder(rec).pool(pool).run(workload)"
-)]
-#[must_use]
-pub fn estimate_pooled<W: Sampleable>(
-    workload: &W,
-    spec: SampleSpec,
-    strategy: IdentifyStrategy,
-    seed: u64,
-    rec: &Recorder,
-    pool: &Pool,
-) -> SamplingEstimate {
-    Estimator::new(strategy.into())
-        .spec(spec)
-        .seed(seed)
-        .recorder(rec)
-        .pool(pool)
-        .run(workload)
-}
-
-/// [`estimate_pooled`] with the Identify step priced through a cost profile
-/// of the sample.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Estimator::new(strategy.into()).spec(spec).seed(seed).recorder(rec).pool(pool).profiled().run(workload)"
-)]
-#[must_use]
-pub fn estimate_profiled<W>(
-    workload: &W,
-    spec: SampleSpec,
-    strategy: IdentifyStrategy,
-    seed: u64,
-    rec: &Recorder,
-    pool: &Pool,
-) -> SamplingEstimate
-where
-    W: Sampleable,
-    W::Sample: Profilable,
-{
-    Estimator::new(strategy.into())
-        .spec(spec)
-        .seed(seed)
-        .recorder(rec)
-        .pool(pool)
-        .profiled()
-        .run(workload)
-}
-
-/// Runs the estimation on `repeats` independent samples and returns the
-/// median-threshold estimate, with the overheads of *all* repeats summed.
-///
-/// # Panics
-/// Panics if `repeats == 0`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Estimator::new(strategy.into()).spec(spec).seed(seed).repeats(repeats).run(workload)"
-)]
-#[must_use]
-pub fn estimate_repeated<W: Sampleable>(
-    workload: &W,
-    spec: SampleSpec,
-    strategy: IdentifyStrategy,
-    seed: u64,
-    repeats: usize,
-) -> SamplingEstimate {
-    Estimator::new(strategy.into())
-        .spec(spec)
-        .seed(seed)
-        .repeats(repeats)
-        .run(workload)
-}
-
-/// [`estimate_repeated`] with every repeat's Identify step priced through a
-/// cost profile of its sample.
-///
-/// # Panics
-/// Panics if `repeats == 0`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Estimator::new(strategy.into()).spec(spec).seed(seed).repeats(repeats).profiled().run(workload)"
-)]
-#[must_use]
-pub fn estimate_repeated_profiled<W>(
-    workload: &W,
-    spec: SampleSpec,
-    strategy: IdentifyStrategy,
-    seed: u64,
-    repeats: usize,
-) -> SamplingEstimate
-where
-    W: Sampleable,
-    W::Sample: Profilable,
-{
-    Estimator::new(strategy.into())
-        .spec(spec)
-        .seed(seed)
-        .repeats(repeats)
-        .profiled()
-        .run(workload)
+/// Regret of a warm decision over the cold one, in percent: positive when
+/// the warm decision is costlier, zero when they price identically (or
+/// the cold cost is zero).
+fn regret_pct(warm: SimTime, cold: SimTime) -> f64 {
+    let (warm_cost, cold_cost) = (warm.as_millis(), cold.as_millis());
+    if cold_cost > 0.0 {
+        (warm_cost / cold_cost - 1.0) * 100.0
+    } else {
+        0.0
+    }
 }
 
 /// The shared Sample → Identify → Extrapolate pipeline; `identify` runs the
@@ -1214,7 +768,7 @@ where
 fn estimate_core<W, F>(
     workload: &W,
     spec: SampleSpec,
-    strategy_name: &'static str,
+    strategy: Strategy,
     seed: u64,
     rec: &Recorder,
     identify: F,
@@ -1227,7 +781,7 @@ where
     let estimate_span = rec.open_with(
         "estimate",
         vec![
-            ("strategy".to_string(), ArgValue::from(strategy_name)),
+            ("strategy".to_string(), ArgValue::from(strategy.name())),
             ("seed".to_string(), ArgValue::U64(seed)),
         ],
     );
@@ -1443,26 +997,26 @@ mod tests {
     }
 
     #[test]
-    fn identify_strategy_lifts_into_strategy() {
+    fn default_topology_keys_on_the_canonical_pair() {
+        // An estimator without `.devices(..)` shares cache entries with one
+        // declaring the canonical CPU+GPU pair, and with no other topology.
+        let s = Strategy::Analytic { step: None };
+        let default = Estimator::new(s).seed(7).config_key();
+        let pair =
+            ConfigKey::with_devices(s, SampleSpec::default(), 7, 1, DeviceSet::cpu_gpu_static());
+        assert_eq!(default, pair);
         assert_eq!(
-            Strategy::from(IdentifyStrategy::Exhaustive),
-            Strategy::Exhaustive { step: None }
+            default,
+            Estimator::new(s)
+                .seed(7)
+                .devices(&DeviceSet::cpu_gpu())
+                .config_key()
         );
-        assert_eq!(
-            Strategy::from(IdentifyStrategy::GradientDescent { max_evals: 9 }),
-            Strategy::GradientDescent { max_evals: 9 }
+        let dual = DeviceSet::dual_cpu_dual_gpu();
+        assert_ne!(
+            default,
+            Estimator::new(s).seed(7).devices(&dual).config_key()
         );
-        // Shared names keep trace span args identical across the two enums.
-        for (i, s) in [
-            (IdentifyStrategy::CoarseToFine, Strategy::CoarseToFine),
-            (IdentifyStrategy::RaceThenFine, Strategy::RaceThenFine),
-            (
-                IdentifyStrategy::Exhaustive,
-                Strategy::Exhaustive { step: None },
-            ),
-        ] {
-            assert_eq!(i.name(), s.name());
-        }
     }
 }
 

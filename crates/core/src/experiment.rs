@@ -8,7 +8,7 @@ use nbwp_trace::Recorder;
 use serde::{Deserialize, Serialize};
 
 use crate::baselines;
-use crate::estimator::{Estimator, IdentifyStrategy, SamplingEstimate};
+use crate::estimator::{Estimator, SamplingEstimate};
 use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable};
 use crate::profile::{Profilable, ProfiledWorkload, Resampleable};
 use crate::search::{Searcher, Strategy};
@@ -17,7 +17,7 @@ use crate::search::{Searcher, Strategy};
 #[derive(Copy, Clone, Debug)]
 pub struct ExperimentConfig {
     /// Identify strategy run on the sample.
-    pub strategy: IdentifyStrategy,
+    pub strategy: Strategy,
     /// Sample-size multiplier (1.0 = the paper's default).
     pub spec: SampleSpec,
     /// RNG seed for Step 1.
@@ -36,7 +36,7 @@ impl ExperimentConfig {
     #[must_use]
     pub fn cc(seed: u64) -> Self {
         ExperimentConfig {
-            strategy: IdentifyStrategy::CoarseToFine,
+            strategy: Strategy::CoarseToFine,
             spec: SampleSpec::default(),
             seed,
             exhaustive_step: 1.0,
@@ -48,7 +48,7 @@ impl ExperimentConfig {
     #[must_use]
     pub fn spmm(seed: u64) -> Self {
         ExperimentConfig {
-            strategy: IdentifyStrategy::RaceThenFine,
+            strategy: Strategy::RaceThenFine,
             spec: SampleSpec::default(),
             seed,
             exhaustive_step: 1.0,
@@ -61,7 +61,7 @@ impl ExperimentConfig {
     #[must_use]
     pub fn scalefree(seed: u64) -> Self {
         ExperimentConfig {
-            strategy: IdentifyStrategy::GradientDescent { max_evals: 24 },
+            strategy: Strategy::GradientDescent { max_evals: 24 },
             spec: SampleSpec::default(),
             seed,
             exhaustive_step: 1.15,
@@ -182,7 +182,7 @@ pub fn run_one_with<W: Sampleable>(
         step: Some(config.exhaustive_step),
     })
     .run(w);
-    let est: SamplingEstimate = Estimator::new(config.strategy.into())
+    let est: SamplingEstimate = Estimator::new(config.strategy)
         .spec(config.spec)
         .seed(config.seed)
         .recorder(rec)
@@ -246,7 +246,7 @@ where
     })
     .pool(pool)
     .run(&pw);
-    let est: SamplingEstimate = Estimator::new(config.strategy.into())
+    let est: SamplingEstimate = Estimator::new(config.strategy)
         .spec(config.spec)
         .seed(config.seed)
         .recorder(rec)
@@ -341,11 +341,11 @@ pub struct SensitivityPoint {
 pub fn sensitivity<W: Sampleable>(
     w: &W,
     factors: &[f64],
-    strategy: IdentifyStrategy,
+    strategy: Strategy,
     seed: u64,
 ) -> Vec<SensitivityPoint> {
     Pool::global().map(factors, |&factor| {
-        let est = Estimator::new(strategy.into())
+        let est = Estimator::new(strategy)
             .spec(SampleSpec::scaled(factor))
             .seed(seed)
             .run(w);
@@ -456,6 +456,17 @@ mod tests {
     }
 
     #[test]
+    fn paper_configs_pin_their_identify_strategies() {
+        // §III.A.2, §IV.A(b) and §V.A.2: each case study's identify step.
+        assert_eq!(ExperimentConfig::cc(1).strategy, Strategy::CoarseToFine);
+        assert_eq!(ExperimentConfig::spmm(1).strategy, Strategy::RaceThenFine);
+        assert_eq!(
+            ExperimentConfig::scalefree(1).strategy,
+            Strategy::GradientDescent { max_evals: 24 }
+        );
+    }
+
+    #[test]
     fn run_one_produces_consistent_row() {
         let w = dense(512);
         let row = run_one("mat.512", &w, &ExperimentConfig::cc(1));
@@ -502,7 +513,7 @@ mod tests {
         let points = sensitivity(
             &w,
             &[0.25, 1.0, 4.0],
-            crate::estimator::IdentifyStrategy::CoarseToFine,
+            crate::search::Strategy::CoarseToFine,
             3,
         );
         assert_eq!(points.len(), 3);

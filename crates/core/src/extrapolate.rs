@@ -154,7 +154,7 @@ mod tests {
 #[must_use]
 pub fn calibrate_extrapolator<W: crate::framework::Sampleable>(
     corpus: &[W],
-    strategy: crate::estimator::IdentifyStrategy,
+    strategy: crate::search::Strategy,
     seed: u64,
 ) -> Option<Extrapolator> {
     use crate::search::{Searcher, Strategy};
@@ -163,7 +163,7 @@ pub fn calibrate_extrapolator<W: crate::framework::Sampleable>(
         let mut rng =
             <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed.wrapping_add(k as u64));
         let sample = w.sample(crate::framework::SampleSpec::default(), &mut rng);
-        let sample_best = Searcher::new(Strategy::from(strategy)).run(&sample).best_t;
+        let sample_best = Searcher::new(strategy).run(&sample).best_t;
         let full_best = Searcher::new(Strategy::Exhaustive {
             step: Some(w.space().fine_step.max(1.05)),
         })
@@ -177,8 +177,8 @@ pub fn calibrate_extrapolator<W: crate::framework::Sampleable>(
 #[cfg(test)]
 mod calibration_tests {
     use super::*;
-    use crate::estimator::IdentifyStrategy;
     use crate::framework::PartitionedWorkload;
+    use crate::search::Strategy;
     use crate::workloads::HhWorkload;
     use nbwp_sim::Platform;
     use nbwp_sparse::gen;
@@ -190,11 +190,8 @@ mod calibration_tests {
             .iter()
             .map(|&(n, seed)| HhWorkload::new(gen::power_law(n, 10, 2.1, seed), platform))
             .collect();
-        let fitted = calibrate_extrapolator(
-            &corpus,
-            IdentifyStrategy::GradientDescent { max_evals: 18 },
-            7,
-        );
+        let fitted =
+            calibrate_extrapolator(&corpus, Strategy::GradientDescent { max_evals: 18 }, 7);
         match fitted {
             Some(Extrapolator::Power { a, b }) => {
                 assert!(a.is_finite() && a > 0.0, "a = {a}");

@@ -54,13 +54,8 @@ pub mod prelude {
         DriftDecision, DriftServer, DriftStep, DriftWorkload, PATCH_CROSSOVER_FRACTION,
     };
     pub use crate::energy::{exhaustive_energy, EnergySweep, PowerModel};
-    #[allow(deprecated)] // the shims stay importable through the prelude
     pub use crate::estimator::{
-        estimate, estimate_pooled, estimate_profiled, estimate_repeated,
-        estimate_repeated_profiled, estimate_with,
-    };
-    pub use crate::estimator::{
-        Estimator, IdentifyStrategy, ProfiledEstimator, SamplingEstimate, DEFAULT_SHADOW_RATE,
+        Estimator, ProfiledEstimator, SamplingEstimate, DEFAULT_SHADOW_RATE,
     };
     pub use crate::evalcache::EvalCache;
     pub use crate::experiment::{
@@ -72,19 +67,9 @@ pub mod prelude {
     pub use crate::fingerprint::{DensityClass, Fingerprint, FingerprintDelta, Fingerprinted};
     pub use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable, ThresholdSpace};
     pub use crate::profile::{Profilable, ProfiledWorkload, Resampleable};
-    #[allow(deprecated)] // the scalar minimizer stays importable through the prelude
-    pub use crate::search::minimize_curve;
     pub use crate::search::{
-        candidate_splits, gradient_descent_analytic, minimize_partition, CurveMinimum,
-        PartitionMinimum, PartitionOutcome, ProfiledSearcher, SearchOutcome, Searcher, Strategy,
-        UnknownStrategy, DEFAULT_GRADIENT_EVALS,
-    };
-    #[allow(deprecated)] // the shims stay importable through the prelude
-    pub use crate::search::{
-        coarse_to_fine, coarse_to_fine_pooled, coarse_to_fine_profiled, coarse_to_fine_with,
-        exhaustive, exhaustive_pooled, exhaustive_profiled, exhaustive_with, gradient_descent,
-        gradient_descent_pooled, gradient_descent_profiled, gradient_descent_with, race_then_fine,
-        race_then_fine_pooled, race_then_fine_profiled, race_then_fine_with,
+        candidate_splits, minimize_partition, PartitionMinimum, PartitionOutcome, ProfiledSearcher,
+        SearchOutcome, Searcher, Strategy, UnknownStrategy, DEFAULT_GRADIENT_EVALS,
     };
     pub use crate::threshold_cache::{CacheStats, ThresholdCache, SHADOW_REGRET_CAPACITY};
     pub use crate::workloads::{

@@ -1,25 +1,32 @@
 //! Bounded-LRU cache of partitioning decisions, keyed by input fingerprint.
 //!
-//! The cache holds two maps over the same bounded budget:
+//! The cache holds one **tier** per decision type — scalar
+//! [`SamplingEstimate`]s and k-way [`PartitionOutcome`]s. Each tier is the
+//! same generation-stamped pair of LRU maps over the same bounded budget:
 //!
 //! * **exact** — [`CacheKey`] (fingerprint [`ExactKey`] + estimator
-//!   [`ConfigKey`]) → the full [`SamplingEstimate`]. A hit is served as a
-//!   clone, **bitwise-identical** to what the cold path would compute,
-//!   because equal exact keys certify interchangeable inputs under an
-//!   identical estimator configuration.
-//! * **near** — [`NearCacheKey`] (fingerprint [`NearKey`] + strategy
-//!   discriminant) → the cached split in sample space plus the cold probe
-//!   count. A hit does *not* skip the pipeline; it warm-starts
-//!   `Strategy::Analytic` from the cached split's bracket, which measurably
-//!   reduces `grad_probes`.
+//!   [`ConfigKey`]) → the full decision. A hit is served as a clone,
+//!   **bitwise-identical** to what the cold path would compute, because
+//!   equal exact keys certify interchangeable inputs under an identical
+//!   estimator configuration.
+//! * **near** — a similarity key → the last decision inserted for that
+//!   input class. Estimates key on the fingerprint [`NearKey`] + strategy
+//!   kind ([`NearCacheKey`]), partitions on the [`NearKey`] + device
+//!   topology ([`PartitionNearKey`]). A hit does *not* skip the pipeline:
+//!   the decision's split (or cut vector) warm-starts `Strategy::Analytic`,
+//!   which measurably reduces `grad_probes`, and its probe count is the
+//!   baseline the savings are credited against.
 //!
-//! Hit/miss/probe-savings counters are lock-free atomics, flushed to the
-//! `nbwp-trace` metrics registry by [`ThresholdCache::flush_metrics`]
-//! (reset-on-flush, so repeated flushes never double-count).
+//! Both tiers share the LRU tick, the drift generation and the shadow
+//! stride counter. Hit/miss/probe-savings counters are lock-free atomics,
+//! flushed to the `nbwp-trace` metrics registry by
+//! [`ThresholdCache::flush_metrics`] (reset-on-flush, so repeated flushes
+//! never double-count).
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use nbwp_sim::DeviceSet;
 use nbwp_trace::Recorder;
@@ -70,17 +77,6 @@ fn strategy_disc(strategy: Strategy) -> u8 {
 }
 
 impl ConfigKey {
-    /// Builds the key for one estimator configuration on the canonical
-    /// CPU+GPU pair.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use ConfigKey::with_devices; this is with_devices(.., DeviceSet::cpu_gpu())"
-    )]
-    #[must_use]
-    pub fn of(strategy: Strategy, spec: SampleSpec, seed: u64, repeats: usize) -> ConfigKey {
-        ConfigKey::with_devices(strategy, spec, seed, repeats, DeviceSet::cpu_gpu_static())
-    }
-
     /// Builds the key for one estimator configuration over a device
     /// topology. The key carries the partition arity and the set's digest,
     /// so estimates for different topologies — even of equal arity — can
@@ -121,7 +117,8 @@ pub struct CacheKey {
     pub config: ConfigKey,
 }
 
-/// Similarity cache key: quantized fingerprint class + strategy kind.
+/// Similarity key of the estimate tier: quantized fingerprint class +
+/// strategy kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct NearCacheKey {
     /// Quantized fingerprint class of the input.
@@ -141,22 +138,10 @@ impl NearCacheKey {
     }
 }
 
-/// What a near-key hit supplies: a warm-start hint and the cold cost it
-/// replaces.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WarmHint {
-    /// Cached split threshold in *sample space* — the bracket center the
-    /// analytic search descends from.
-    pub sample_threshold: f64,
-    /// `grad_probes` the cold search spent for this class, the baseline for
-    /// probe-savings accounting.
-    pub cold_probes: usize,
-}
-
-/// Similarity key for k-way partition hints: quantized fingerprint class +
-/// the topology identity. Warm cut vectors only transfer between requests
-/// for the *same* device set — a k=4 vector cannot seed a k=8 descent, and
-/// two k=4 topologies with different link speeds have different optima.
+/// Similarity key of the partition tier: quantized fingerprint class + the
+/// topology identity. Warm cut vectors only transfer between requests for
+/// the *same* device set — a k=4 vector cannot seed a k=8 descent, and two
+/// k=4 topologies with different link speeds have different optima.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PartitionNearKey {
     /// Quantized fingerprint class of the input.
@@ -179,31 +164,68 @@ impl PartitionNearKey {
     }
 }
 
-/// What a k-way partition near-hit supplies: the cached cut vector (a
-/// single-seed warm start for `minimize_partition`, which skips the coarse
-/// odometer sweep) and the cold probe count it replaces.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PartitionHint {
-    /// Cached cut thresholds (`k − 1` of them, ascending).
-    pub cuts: Vec<f64>,
-    /// Probes the cold multi-seed search spent for this class — the
-    /// baseline for probe-savings accounting.
-    pub cold_probes: usize,
-}
-
 /// An exact entry with the drift generation it was computed at.
-struct Stamped {
-    est: SamplingEstimate,
+struct Stamped<D> {
+    decision: D,
     generation: u64,
 }
 
-/// A cached partition outcome with its drift generation.
-struct StampedPartition {
-    out: PartitionOutcome,
-    generation: u64,
+/// One decision type's exact and near maps; every value carries its LRU
+/// tick.
+pub(crate) struct Tier<N, D> {
+    exact: HashMap<CacheKey, (Stamped<D>, u64)>,
+    near: HashMap<N, (D, u64)>,
 }
 
-struct CacheInner {
+impl<N, D> Default for Tier<N, D> {
+    fn default() -> Self {
+        Tier {
+            exact: HashMap::new(),
+            near: HashMap::new(),
+        }
+    }
+}
+
+/// One tier's hit and miss counters.
+#[derive(Default)]
+pub(crate) struct TierCounts {
+    exact_hits: AtomicU64,
+    near_hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+/// A decision type the cache stores: names its tier's near key and selects
+/// its tier and counters.
+pub(crate) trait Cached: Clone {
+    /// The tier's similarity key.
+    type Near: Copy + Eq + Hash;
+    /// This type's maps.
+    fn tier(inner: &mut CacheInner) -> &mut Tier<Self::Near, Self>;
+    /// This type's counters.
+    fn counts(cache: &ThresholdCache) -> &TierCounts;
+}
+
+impl Cached for SamplingEstimate {
+    type Near = NearCacheKey;
+    fn tier(inner: &mut CacheInner) -> &mut Tier<NearCacheKey, Self> {
+        &mut inner.estimates
+    }
+    fn counts(cache: &ThresholdCache) -> &TierCounts {
+        &cache.estimate_counts
+    }
+}
+
+impl Cached for PartitionOutcome {
+    type Near = PartitionNearKey;
+    fn tier(inner: &mut CacheInner) -> &mut Tier<PartitionNearKey, Self> {
+        &mut inner.partitions
+    }
+    fn counts(cache: &ThresholdCache) -> &TierCounts {
+        &cache.partition_counts
+    }
+}
+
+pub(crate) struct CacheInner {
     capacity: usize,
     tick: u64,
     /// Monotone drift epoch: bumped by [`ThresholdCache::advance_generation`]
@@ -211,10 +233,8 @@ struct CacheInner {
     /// generation are invalid — generations only grow, so a stale entry can
     /// never become fresh again.
     generation: u64,
-    exact: HashMap<CacheKey, (Stamped, u64)>,
-    near: HashMap<NearCacheKey, (WarmHint, u64)>,
-    partitions: HashMap<CacheKey, (StampedPartition, u64)>,
-    near_partitions: HashMap<PartitionNearKey, (PartitionHint, u64)>,
+    estimates: Tier<NearCacheKey, SamplingEstimate>,
+    partitions: Tier<PartitionNearKey, PartitionOutcome>,
 }
 
 impl CacheInner {
@@ -227,7 +247,7 @@ impl CacheInner {
 /// Evicts the least-recently-used entry when inserting a fresh key into a
 /// full map. O(len) scan — fine at the small bounded capacities used here
 /// (same policy as `EvalCache`).
-fn insert_lru<K: Copy + Eq + std::hash::Hash, V>(
+fn insert_lru<K: Copy + Eq + Hash, V>(
     map: &mut HashMap<K, (V, u64)>,
     capacity: usize,
     key: K,
@@ -279,9 +299,8 @@ pub struct CacheStats {
 /// concurrently without serializing their actual work.
 pub struct ThresholdCache {
     inner: Mutex<CacheInner>,
-    exact_hits: AtomicU64,
-    near_hits: AtomicU64,
-    misses: AtomicU64,
+    estimate_counts: TierCounts,
+    partition_counts: TierCounts,
     insertions: AtomicU64,
     probes_saved: AtomicU64,
     shadow_runs: AtomicU64,
@@ -290,9 +309,6 @@ pub struct ThresholdCache {
     patched_nudges: AtomicU64,
     patched_rebuilds: AtomicU64,
     stale_evictions: AtomicU64,
-    kway_exact_hits: AtomicU64,
-    kway_near_hits: AtomicU64,
-    kway_misses: AtomicU64,
     regrets: Mutex<Vec<f64>>,
 }
 
@@ -312,14 +328,11 @@ impl ThresholdCache {
                 capacity: capacity.max(1),
                 tick: 0,
                 generation: 0,
-                exact: HashMap::new(),
-                near: HashMap::new(),
-                partitions: HashMap::new(),
-                near_partitions: HashMap::new(),
+                estimates: Tier::default(),
+                partitions: Tier::default(),
             }),
-            exact_hits: AtomicU64::new(0),
-            near_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            estimate_counts: TierCounts::default(),
+            partition_counts: TierCounts::default(),
             insertions: AtomicU64::new(0),
             probes_saved: AtomicU64::new(0),
             shadow_runs: AtomicU64::new(0),
@@ -328,20 +341,18 @@ impl ThresholdCache {
             patched_nudges: AtomicU64::new(0),
             patched_rebuilds: AtomicU64::new(0),
             stale_evictions: AtomicU64::new(0),
-            kway_exact_hits: AtomicU64::new(0),
-            kway_near_hits: AtomicU64::new(0),
-            kway_misses: AtomicU64::new(0),
             regrets: Mutex::new(Vec::new()),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().expect("threshold cache poisoned")
     }
 
     /// Current drift generation (0 until the first delta lands).
     #[must_use]
     pub fn generation(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("threshold cache poisoned")
-            .generation
+        self.lock().generation
     }
 
     /// Advances the drift generation, returning the new value. Exact
@@ -351,124 +362,89 @@ impl ThresholdCache {
     /// stale hint still saves probes while the pipeline recomputes the
     /// decision on the patched curves.
     pub fn advance_generation(&self) -> u64 {
-        let mut inner = self.inner.lock().expect("threshold cache poisoned");
+        let mut inner = self.lock();
         inner.generation += 1;
         inner.generation
     }
 
-    /// Exact-key lookup. A hit refreshes recency and returns a clone of the
-    /// cached estimate — bitwise-identical to the cold-path result. Entries
-    /// stamped with an older drift generation than the cache's current one
-    /// are dropped here instead of served (monotone invalidation).
-    #[must_use]
-    pub fn get_exact(&self, key: &CacheKey) -> Option<SamplingEstimate> {
-        let mut inner = self.inner.lock().expect("threshold cache poisoned");
+    /// Exact-key lookup in `D`'s tier. A hit refreshes recency and returns
+    /// a clone of the cached decision — bitwise-identical to the cold-path
+    /// result. Entries stamped with an older drift generation than the
+    /// cache's current one are dropped here instead of served (monotone
+    /// invalidation).
+    pub(crate) fn lookup<D: Cached>(&self, key: &CacheKey) -> Option<D> {
+        let mut inner = self.lock();
         let tick = inner.touch();
         let generation = inner.generation;
-        if let Some((stamped, t)) = inner.exact.get_mut(key) {
-            if stamped.generation < generation {
-                inner.exact.remove(key);
-                drop(inner);
-                self.stale_evictions.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            *t = tick;
-            let est = stamped.est.clone();
+        let exact = &mut D::tier(&mut inner).exact;
+        let (stamped, t) = exact.get_mut(key)?;
+        if stamped.generation < generation {
+            exact.remove(key);
             drop(inner);
-            self.exact_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(est);
+            self.stale_evictions.fetch_add(1, Ordering::Relaxed);
+            return None;
         }
-        None
+        *t = tick;
+        let decision = stamped.decision.clone();
+        drop(inner);
+        D::counts(self).exact_hits.fetch_add(1, Ordering::Relaxed);
+        Some(decision)
     }
 
-    /// Near-key lookup. A hit refreshes recency and returns the warm-start
-    /// hint for `Strategy::Analytic`.
-    #[must_use]
-    pub fn get_near(&self, key: &NearCacheKey) -> Option<WarmHint> {
-        let mut inner = self.inner.lock().expect("threshold cache poisoned");
+    /// Near-key lookup in `D`'s tier. A hit refreshes recency and returns
+    /// the last decision inserted for the input class — a warm start, not a
+    /// result to serve.
+    pub(crate) fn lookup_near<D: Cached>(&self, key: &D::Near) -> Option<D> {
+        let mut inner = self.lock();
         let tick = inner.touch();
-        if let Some((hint, t)) = inner.near.get_mut(key) {
-            *t = tick;
-            let hint = *hint;
-            drop(inner);
-            self.near_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(hint);
-        }
-        None
+        let (decision, t) = D::tier(&mut inner).near.get_mut(key)?;
+        *t = tick;
+        let decision = decision.clone();
+        drop(inner);
+        D::counts(self).near_hits.fetch_add(1, Ordering::Relaxed);
+        Some(decision)
     }
 
-    /// K-way exact lookup. A hit refreshes recency and returns a clone of
-    /// the cached [`PartitionOutcome`] — bitwise-identical to the cold
-    /// `minimize_partition` result that populated it. Stale-generation
-    /// entries are dropped here, same monotone invalidation as
-    /// [`ThresholdCache::get_exact`].
-    #[must_use]
-    pub fn get_partition(&self, key: &CacheKey) -> Option<PartitionOutcome> {
-        let mut inner = self.inner.lock().expect("threshold cache poisoned");
+    /// Inserts a freshly computed decision under both of its tier's keys,
+    /// stamped with the current drift generation.
+    pub(crate) fn store<D: Cached>(&self, key: CacheKey, near: D::Near, decision: &D) {
+        let mut inner = self.lock();
         let tick = inner.touch();
-        let generation = inner.generation;
-        if let Some((stamped, t)) = inner.partitions.get_mut(key) {
-            if stamped.generation < generation {
-                inner.partitions.remove(key);
-                drop(inner);
-                self.stale_evictions.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            *t = tick;
-            let out = stamped.out.clone();
-            drop(inner);
-            self.kway_exact_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(out);
-        }
-        None
-    }
-
-    /// K-way near lookup. A hit refreshes recency and returns the cached
-    /// cut vector, which seeds `minimize_partition` as a single warm seed —
-    /// coordinate descent starts from the hint instead of sweeping the
-    /// coarse odometer grid.
-    #[must_use]
-    pub fn get_partition_hint(&self, key: &PartitionNearKey) -> Option<PartitionHint> {
-        let mut inner = self.inner.lock().expect("threshold cache poisoned");
-        let tick = inner.touch();
-        if let Some((hint, t)) = inner.near_partitions.get_mut(key) {
-            *t = tick;
-            let hint = hint.clone();
-            drop(inner);
-            self.kway_near_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(hint);
-        }
-        None
-    }
-
-    /// Inserts a freshly computed k-way partition under both keys, stamped
-    /// with the current drift generation.
-    pub fn insert_partition(&self, key: CacheKey, near: PartitionNearKey, out: &PartitionOutcome) {
-        let mut inner = self.inner.lock().expect("threshold cache poisoned");
-        let tick = inner.touch();
-        let capacity = inner.capacity;
-        let stamped = StampedPartition {
-            out: out.clone(),
-            generation: inner.generation,
+        let (capacity, generation) = (inner.capacity, inner.generation);
+        let tier = D::tier(&mut inner);
+        let stamped = Stamped {
+            decision: decision.clone(),
+            generation,
         };
-        insert_lru(&mut inner.partitions, capacity, key, stamped, tick);
-        let hint = PartitionHint {
-            cuts: out.cuts.clone(),
-            cold_probes: out.probes,
-        };
-        insert_lru(&mut inner.near_partitions, capacity, near, hint, tick);
+        insert_lru(&mut tier.exact, capacity, key, stamped, tick);
+        insert_lru(&mut tier.near, capacity, near, decision.clone(), tick);
         drop(inner);
         self.insertions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records that a k-way request ran the full cold multi-seed search.
-    pub fn record_kway_miss(&self) {
-        self.kway_misses.fetch_add(1, Ordering::Relaxed);
+    /// Records that a request for a `D` missed the exact map.
+    pub(crate) fn record_miss<D: Cached>(&self) {
+        D::counts(self).misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records that a request ran the full cold path.
-    pub fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
+    /// Exact-key lookup in the estimate tier (see the module docs).
+    #[must_use]
+    pub fn get_exact(&self, key: &CacheKey) -> Option<SamplingEstimate> {
+        self.lookup(key)
+    }
+
+    /// Near-key lookup in the estimate tier: the last estimate inserted for
+    /// the input class. Its `sample_threshold` is the warm start for
+    /// `Strategy::Analytic`, its `grad_probes` the cold baseline.
+    #[must_use]
+    pub fn get_near(&self, key: &NearCacheKey) -> Option<SamplingEstimate> {
+        self.lookup_near(key)
+    }
+
+    /// Inserts a freshly computed estimate under both keys, stamped with
+    /// the current drift generation.
+    pub fn insert(&self, key: CacheKey, near: NearCacheKey, est: &SamplingEstimate) {
+        self.store(key, near, est);
     }
 
     /// Records `grad_probes` avoided by a warm start.
@@ -533,57 +509,42 @@ impl ThresholdCache {
         self.patched_rebuilds.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Inserts a freshly computed decision under both keys, stamped with
-    /// the current drift generation.
-    pub fn insert(&self, key: CacheKey, near: NearCacheKey, est: &SamplingEstimate) {
-        let mut inner = self.inner.lock().expect("threshold cache poisoned");
-        let tick = inner.touch();
-        let capacity = inner.capacity;
-        let stamped = Stamped {
-            est: est.clone(),
-            generation: inner.generation,
-        };
-        insert_lru(&mut inner.exact, capacity, key, stamped, tick);
-        let hint = WarmHint {
-            sample_threshold: est.sample_threshold,
-            cold_probes: est.grad_probes,
-        };
-        insert_lru(&mut inner.near, capacity, near, hint, tick);
-        drop(inner);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Current counter values (no reset).
     #[must_use]
     pub fn stats(&self) -> CacheStats {
+        self.read_counters(AtomicU64::load)
+    }
+
+    /// Reads every counter through `read` (a plain load, or a
+    /// swap-with-zero for the reset-on-flush read).
+    fn read_counters(&self, read: impl Fn(&AtomicU64, Ordering) -> u64) -> CacheStats {
+        let r = |c: &AtomicU64| read(c, Ordering::Relaxed);
+        let (est, part) = (&self.estimate_counts, &self.partition_counts);
         CacheStats {
-            exact_hits: self.exact_hits.load(Ordering::Relaxed),
-            near_hits: self.near_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            probes_saved: self.probes_saved.load(Ordering::Relaxed),
-            shadow_runs: self.shadow_runs.load(Ordering::Relaxed),
-            patched_hits: self.patched_hits.load(Ordering::Relaxed),
-            patched_nudges: self.patched_nudges.load(Ordering::Relaxed),
-            patched_rebuilds: self.patched_rebuilds.load(Ordering::Relaxed),
-            stale_evictions: self.stale_evictions.load(Ordering::Relaxed),
-            kway_exact_hits: self.kway_exact_hits.load(Ordering::Relaxed),
-            kway_near_hits: self.kway_near_hits.load(Ordering::Relaxed),
-            kway_misses: self.kway_misses.load(Ordering::Relaxed),
+            exact_hits: r(&est.exact_hits),
+            near_hits: r(&est.near_hits),
+            misses: r(&est.misses),
+            insertions: r(&self.insertions),
+            probes_saved: r(&self.probes_saved),
+            shadow_runs: r(&self.shadow_runs),
+            patched_hits: r(&self.patched_hits),
+            patched_nudges: r(&self.patched_nudges),
+            patched_rebuilds: r(&self.patched_rebuilds),
+            stale_evictions: r(&self.stale_evictions),
+            kway_exact_hits: r(&part.exact_hits),
+            kway_near_hits: r(&part.near_hits),
+            kway_misses: r(&part.misses),
         }
     }
 
-    /// Number of exact entries currently held.
+    /// Number of exact entries currently held, across both tiers.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("threshold cache poisoned")
-            .exact
-            .len()
+        let inner = self.lock();
+        inner.estimates.exact.len() + inner.partitions.exact.len()
     }
 
-    /// Whether the cache holds no exact entries.
+    /// Whether neither tier holds an exact entry.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -600,58 +561,24 @@ impl ThresholdCache {
     /// `threshold_cache.kway_miss`; retained shadow-regret observations
     /// drain into the `threshold_cache.regret_pct` histogram.
     pub fn flush_metrics(&self, rec: &Recorder) {
-        rec.counter_add(
-            "threshold_cache.hit",
-            self.exact_hits.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.near_hit",
-            self.near_hits.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.miss",
-            self.misses.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.insert",
-            self.insertions.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.probes_saved",
-            self.probes_saved.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.shadow_runs",
-            self.shadow_runs.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.patched_hit",
-            self.patched_hits.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.patched_nudge",
-            self.patched_nudges.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.patched_rebuild",
-            self.patched_rebuilds.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.stale_evictions",
-            self.stale_evictions.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.kway_hit",
-            self.kway_exact_hits.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.kway_near_hit",
-            self.kway_near_hits.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.kway_miss",
-            self.kway_misses.swap(0, Ordering::Relaxed),
-        );
+        let s = self.read_counters(|c, order| c.swap(0, order));
+        for (name, value) in [
+            ("threshold_cache.hit", s.exact_hits),
+            ("threshold_cache.near_hit", s.near_hits),
+            ("threshold_cache.miss", s.misses),
+            ("threshold_cache.insert", s.insertions),
+            ("threshold_cache.probes_saved", s.probes_saved),
+            ("threshold_cache.shadow_runs", s.shadow_runs),
+            ("threshold_cache.patched_hit", s.patched_hits),
+            ("threshold_cache.patched_nudge", s.patched_nudges),
+            ("threshold_cache.patched_rebuild", s.patched_rebuilds),
+            ("threshold_cache.stale_evictions", s.stale_evictions),
+            ("threshold_cache.kway_hit", s.kway_exact_hits),
+            ("threshold_cache.kway_near_hit", s.kway_near_hits),
+            ("threshold_cache.kway_miss", s.kway_misses),
+        ] {
+            rec.counter_add(name, value);
+        }
         let drained: Vec<f64> = {
             let mut regrets = self.regrets.lock().expect("shadow regrets poisoned");
             std::mem::take(&mut *regrets)
@@ -743,11 +670,15 @@ mod tests {
         let k4 = DeviceSet::dual_cpu_dual_gpu();
         let k8 = DeviceSet::quad_cpu_quad_gpu();
         let out = partition_out(vec![10.0, 30.0, 55.0]);
-        assert!(cache.get_partition(&kway_key(1, &k4)).is_none());
-        cache.insert_partition(kway_key(1, &k4), PartitionNearKey::of(near(4), &k4), &out);
-        assert_eq!(cache.get_partition(&kway_key(1, &k4)), Some(out.clone()));
+        assert!(cache
+            .lookup::<PartitionOutcome>(&kway_key(1, &k4))
+            .is_none());
+        cache.store(kway_key(1, &k4), PartitionNearKey::of(near(4), &k4), &out);
+        assert_eq!(cache.lookup(&kway_key(1, &k4)), Some(out.clone()));
         // Same input under a different topology never aliases.
-        assert!(cache.get_partition(&kway_key(1, &k8)).is_none());
+        assert!(cache
+            .lookup::<PartitionOutcome>(&kway_key(1, &k8))
+            .is_none());
         let s = cache.stats();
         assert_eq!((s.kway_exact_hits, s.insertions), (1, 1));
     }
@@ -758,17 +689,17 @@ mod tests {
         let k4 = DeviceSet::dual_cpu_dual_gpu();
         let k8 = DeviceSet::quad_cpu_quad_gpu();
         let out = partition_out(vec![12.5, 25.0, 62.5]);
-        cache.insert_partition(kway_key(1, &k4), PartitionNearKey::of(near(4), &k4), &out);
-        let hint = cache
-            .get_partition_hint(&PartitionNearKey::of(near(4), &k4))
+        cache.store(kway_key(1, &k4), PartitionNearKey::of(near(4), &k4), &out);
+        let hint: PartitionOutcome = cache
+            .lookup_near(&PartitionNearKey::of(near(4), &k4))
             .expect("near hit");
         assert_eq!(hint.cuts, out.cuts);
-        assert_eq!(hint.cold_probes, 120);
+        assert_eq!(hint.probes, 120);
         // A k=8 request for the same input class misses.
         assert!(cache
-            .get_partition_hint(&PartitionNearKey::of(near(4), &k8))
+            .lookup_near::<PartitionOutcome>(&PartitionNearKey::of(near(4), &k8))
             .is_none());
-        cache.record_kway_miss();
+        cache.record_miss::<PartitionOutcome>();
         let s = cache.stats();
         assert_eq!((s.kway_near_hits, s.kway_misses), (1, 1));
         let rec = Recorder::new();
@@ -784,11 +715,13 @@ mod tests {
         let cache = ThresholdCache::new(8);
         let k4 = DeviceSet::dual_cpu_dual_gpu();
         let nk = PartitionNearKey::of(near(4), &k4);
-        cache.insert_partition(kway_key(1, &k4), nk, &partition_out(vec![10.0, 30.0, 55.0]));
+        cache.store(kway_key(1, &k4), nk, &partition_out(vec![10.0, 30.0, 55.0]));
         cache.advance_generation();
         // The served partition is stale; the advisory cut vector survives.
-        assert!(cache.get_partition(&kway_key(1, &k4)).is_none());
-        assert!(cache.get_partition_hint(&nk).is_some());
+        assert!(cache
+            .lookup::<PartitionOutcome>(&kway_key(1, &k4))
+            .is_none());
+        assert!(cache.lookup_near::<PartitionOutcome>(&nk).is_some());
         assert_eq!(cache.stats().stale_evictions, 1);
     }
 
@@ -815,7 +748,7 @@ mod tests {
         cache.insert(key(1), nk, &est(42.0));
         let hint = cache.get_near(&nk).expect("near hit");
         assert_eq!(hint.sample_threshold, 21.0);
-        assert_eq!(hint.cold_probes, 5);
+        assert_eq!(hint.grad_probes, 5);
         // Different strategy kind → different near key.
         assert!(cache
             .get_near(&NearCacheKey::of(near(4), Strategy::CoarseToFine))
@@ -834,6 +767,21 @@ mod tests {
         assert!(cache.get_exact(&key(1)).is_some());
         assert!(cache.get_exact(&key(2)).is_none());
         assert!(cache.get_exact(&key(3)).is_some());
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn len_counts_the_exact_entries_of_both_tiers() {
+        // Regression: a cache that has served only partitions is not empty.
+        let cache = ThresholdCache::new(8);
+        assert!(cache.is_empty());
+        let k4 = DeviceSet::dual_cpu_dual_gpu();
+        let out = partition_out(vec![10.0, 30.0, 55.0]);
+        cache.store(kway_key(1, &k4), PartitionNearKey::of(near(4), &k4), &out);
+        assert_eq!(cache.len(), 1);
+        assert!(!cache.is_empty());
+        let nk = NearCacheKey::of(near(4), Strategy::CoarseToFine);
+        cache.insert(key(1), nk, &est(1.0));
         assert_eq!(cache.len(), 2);
     }
 
@@ -917,16 +865,12 @@ mod tests {
         assert_ne!(pair, dual);
         assert_ne!(pair, quad);
         assert_ne!(dual, quad);
-        // The deprecated scalar constructor is the canonical-pair key, bitwise.
-        #[allow(deprecated)]
-        let legacy = ConfigKey::of(s, spec, 7, 1);
-        assert_eq!(legacy, pair);
     }
 
     #[test]
     fn flush_resets_counters() {
         let cache = ThresholdCache::new(4);
-        cache.record_miss();
+        cache.record_miss::<SamplingEstimate>();
         cache.record_probes_saved(12);
         cache.record_shadow(2.5);
         let rec = Recorder::new();

@@ -29,7 +29,7 @@ fn main() {
         "{:>7} {:>12} {:>14} {:>12} {:>11} {:>10}",
         "factor", "sample size", "estimation", "threshold", "|t - t*|", "total"
     );
-    let points = sensitivity(&w, &factors, IdentifyStrategy::CoarseToFine, seed);
+    let points = sensitivity(&w, &factors, Strategy::CoarseToFine, seed);
     for p in &points {
         println!(
             "{:>7.2} {:>12} {:>12.2}ms {:>12.1} {:>11.1} {:>8.2}ms",
