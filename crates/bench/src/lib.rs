@@ -74,7 +74,8 @@ pub mod alloc_meter {
 
 pub mod harness {
     //! Shared plumbing of the gate harnesses (`bench_profile`,
-    //! `bench_serve`, `bench_drift`): argument parsing, min-of-K timing,
+    //! `bench_eval`, `bench_search`, `bench_serve`, `bench_drift`):
+    //! argument parsing, report writing, min-of-K timing,
     //! percentiles, estimate digests, and the enforce-or-skip gate
     //! convention.
     //!

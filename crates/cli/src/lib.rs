@@ -640,11 +640,11 @@ fn resolve_strategy(
     }
 }
 
-/// Runs the estimator, routing [`Strategy::Analytic`] through the profiled
-/// path it requires (subgradients come off the cost-curve profile). With an
-/// enabled flight recorder the request goes through the serving path
-/// (`run_cached`; no cache attached, so it runs cold) and records one audit
-/// event — the estimate itself is identical either way.
+/// Runs the estimator through the serving path (`run_cached`; no cache
+/// attached, so it runs cold), routing [`Strategy::Analytic`] through the
+/// profiled pipeline it requires (subgradients come off the cost-curve
+/// profile). An enabled flight recorder records one audit event; the
+/// estimate is identical either way.
 fn run_estimator<W>(
     w: &W,
     strategy: Strategy,
@@ -664,15 +664,44 @@ where
     if let Some(set) = devices {
         e = e.devices(set);
     }
-    match (
-        matches!(strategy, Strategy::Analytic { .. }),
-        audit.is_enabled(),
-    ) {
-        (true, true) => e.profiled().run_cached(w),
-        (true, false) => e.profiled().run(w),
-        (false, true) => e.run_cached(w),
-        (false, false) => e.run(w),
+    if matches!(strategy, Strategy::Analytic { .. }) {
+        e.profiled().run_cached(w)
+    } else {
+        e.run_cached(w)
     }
+}
+
+/// Resolves the strategy of an `estimate` request against its device
+/// set. A k-way set (anything but the canonical pair, returned as the
+/// second element) routes through the analytic partition search, which
+/// prices bands off the cost curve: an explicit non-analytic strategy
+/// conflicts with it, and hh — partitioned by a density predicate, not
+/// by contiguous spans — cannot take it at all.
+fn resolve_request<'d>(
+    workload: &str,
+    strategy: Option<&str>,
+    analytic: bool,
+    devices: Option<&'d DeviceSet>,
+) -> Result<(Strategy, Option<&'d DeviceSet>), CliError> {
+    let resolved = resolve_strategy(workload, strategy, analytic)?;
+    let Some(set) = devices.filter(|s| !s.is_canonical_pair()) else {
+        return Ok((resolved, None));
+    };
+    if strategy.is_some() && !matches!(resolved, Strategy::Analytic { .. }) {
+        return Err(err(format!(
+            "--devices {} prices bands from the cost curve; \
+             use --analytic (or drop --strategy)",
+            set.name()
+        )));
+    }
+    if workload == "hh" {
+        return Err(err(format!(
+            "hh partitions rows by a density predicate, not by contiguous \
+             spans; --devices {} supports cc | spmm",
+            set.name()
+        )));
+    }
+    Ok((Strategy::Analytic { step: None }, Some(set)))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -687,24 +716,7 @@ fn estimate_cmd(
     sinks: &Sinks<'_>,
 ) -> Result<String, CliError> {
     let a = load_square(input)?;
-    // A k-way device set routes through the analytic partition search (it
-    // prices bands off the cost curve); an explicit non-analytic strategy
-    // therefore conflicts. The canonical pair keeps the scalar pipeline.
-    let kway = devices.filter(|s| !s.is_canonical_pair());
-    let resolved = resolve_strategy(workload, strategy, analytic)?;
-    let strategy = match kway {
-        Some(set) => {
-            if strategy.is_some() && !matches!(resolved, Strategy::Analytic { .. }) {
-                return Err(err(format!(
-                    "--devices {} prices bands from the cost curve; \
-                     use --analytic (or drop --strategy)",
-                    set.name()
-                )));
-            }
-            Strategy::Analytic { step: None }
-        }
-        None => resolved,
-    };
+    let (strategy, kway) = resolve_request(workload, strategy, analytic, devices)?;
     let platform = Platform::k40c_xeon_e5_2650();
     let rec = sinks.recorder();
     let audit = sinks.flight_recorder();
@@ -725,13 +737,6 @@ fn estimate_cmd(
         ("spmm", Some(set)) => {
             let w = SpmmWorkload::new(a, platform);
             report_partition(&mut out, &w, set, seed, &rec, &audit);
-        }
-        ("hh", Some(set)) => {
-            return Err(err(format!(
-                "hh partitions rows by a density predicate, not by contiguous \
-                 spans; --devices {} supports cc | spmm",
-                set.name()
-            )));
         }
         ("cc", None) => {
             let w = CcWorkload::new(Graph::from_matrix(&a), platform);
@@ -763,14 +768,13 @@ fn estimate_cmd(
     Ok(out)
 }
 
-/// Runs the k-way analytic partition search over the full input and
-/// appends the cut vector plus one work-fraction row per device. The
-/// fractions are also exported as `partition.fraction.d<i>` gauges, which
-/// `nbwp report --metrics` renders as a dedicated row. With an enabled
-/// flight recorder the request goes through the partition serving path
-/// (`run_partition_cached`; no cache attached, so it runs cold) and
-/// records one arity-`k` audit event — the partition is identical either
-/// way.
+/// Runs the k-way analytic partition search over the full input through
+/// the partition serving path (`run_partition_cached`; no cache attached,
+/// so it runs cold) and appends the cut vector plus one work-fraction row
+/// per device. The fractions are also exported as `partition.fraction.d<i>`
+/// gauges, which `nbwp report --metrics` renders as a dedicated row. An
+/// enabled flight recorder records one arity-`k` audit event; the
+/// partition is identical either way.
 fn report_partition<W: Profilable + Fingerprinted>(
     out: &mut String,
     w: &W,
@@ -779,20 +783,13 @@ fn report_partition<W: Profilable + Fingerprinted>(
     rec: &Recorder,
     audit: &FlightRecorder,
 ) {
-    let o = if audit.is_enabled() {
-        Estimator::new(Strategy::Analytic { step: None })
-            .seed(seed)
-            .recorder(rec)
-            .audit(audit)
-            .devices(set)
-            .profiled()
-            .run_partition_cached(w)
-    } else {
-        Searcher::new(Strategy::Analytic { step: None })
-            .recorder(rec)
-            .profiled()
-            .run_partition(w, set)
-    };
+    let o = Estimator::new(Strategy::Analytic { step: None })
+        .seed(seed)
+        .recorder(rec)
+        .audit(audit)
+        .devices(set)
+        .profiled()
+        .run_partition_cached(w);
     let _ = writeln!(
         out,
         "k-way partition over {} (k = {}): predicted total {}\n  cut thresholds [{}] — {} curve probes, {} descent sweeps",
@@ -944,23 +941,7 @@ fn batch_cmd(
     if paths.is_empty() {
         return Err(err(format!("{batch} lists no inputs")));
     }
-    // As in `estimate_cmd`: a k-way set routes through the analytic
-    // partition search, so an explicit non-analytic strategy conflicts.
-    let kway = devices.filter(|s| !s.is_canonical_pair());
-    let resolved = resolve_strategy(workload, strategy, analytic)?;
-    let strategy = match kway {
-        Some(set) => {
-            if strategy.is_some() && !matches!(resolved, Strategy::Analytic { .. }) {
-                return Err(err(format!(
-                    "--devices {} prices bands from the cost curve; \
-                     use --analytic (or drop --strategy)",
-                    set.name()
-                )));
-            }
-            Strategy::Analytic { step: None }
-        }
-        None => resolved,
-    };
+    let (strategy, kway) = resolve_request(workload, strategy, analytic, devices)?;
     let platform = Platform::k40c_xeon_e5_2650();
     let cache = cache_size.map_or_else(ThresholdCache::default, ThresholdCache::new);
     let rec = sinks.recorder();
@@ -991,13 +972,6 @@ fn batch_cmd(
                 .map(|a| SpmmWorkload::new(a, platform))
                 .collect();
             serve_batch_kway(&mut out, &paths, &ws, set, seed, &cache, &rec, &audit);
-        }
-        ("hh", Some(set)) => {
-            return Err(err(format!(
-                "hh partitions rows by a density predicate, not by contiguous \
-                 spans; --devices {} supports cc | spmm",
-                set.name()
-            )));
         }
         ("cc", None) => {
             let ws: Vec<CcWorkload> = mats
@@ -1070,6 +1044,9 @@ fn batch_cmd(
 /// - spmm: `{"replace": [{"row": r, "cols": [...], "vals": [...]}, ...],
 ///   "scale": [{"row": r, "factor": f}, ...]}` (either key optional;
 ///   `vals` defaults to ones; replaces apply before scales within a line)
+///
+/// `{}` is a legal empty step. A line that is not an object, or carries
+/// any key outside these, fails with its line number.
 fn drift_cmd(
     workload: &str,
     input: &str,
@@ -1222,6 +1199,29 @@ fn script_value(lineno: usize, line: &str) -> Result<serde_json::Value, CliError
     serde_json::from_str(line).map_err(|e| err(format!("drift script line {lineno}: {e}")))
 }
 
+/// Checks that `v` is a JSON object whose keys all appear in `allowed`;
+/// `what` names the object in the error. A misspelled or unknown key is
+/// an error rather than a silently empty delta.
+fn script_keys(
+    v: &serde_json::Value,
+    allowed: &[&str],
+    what: &str,
+    lineno: usize,
+) -> Result<(), CliError> {
+    let serde_json::Value::Object(pairs) = v else {
+        return Err(err(format!(
+            "drift script line {lineno}: {what} must be a JSON object"
+        )));
+    };
+    match pairs.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+        Some((k, _)) => Err(err(format!(
+            "drift script line {lineno}: unknown key \"{k}\" in {what} (expected {})",
+            allowed.join(" | ")
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Extracts `key` as an array, defaulting to empty when absent.
 fn script_list<'v>(
     v: &'v serde_json::Value,
@@ -1245,7 +1245,8 @@ fn script_u64(v: &serde_json::Value, what: &str, lineno: usize) -> Result<u64, C
     })
 }
 
-/// `{"insert": [[u, v], ...], "delete": [[u, v], ...]}` per line.
+/// `{"insert": [[u, v], ...], "delete": [[u, v], ...]}` per line; any
+/// other key is rejected.
 fn parse_graph_deltas(text: &str) -> Result<Vec<GraphDelta>, CliError> {
     let pair = |v: &serde_json::Value, lineno: usize| -> Result<(u32, u32), CliError> {
         match v.as_array() {
@@ -1261,6 +1262,7 @@ fn parse_graph_deltas(text: &str) -> Result<Vec<GraphDelta>, CliError> {
     script_lines(text)
         .map(|(lineno, line)| {
             let v = script_value(lineno, line)?;
+            script_keys(&v, &["insert", "delete"], "a cc delta", lineno)?;
             let mut d = GraphDelta::default();
             for e in script_list(&v, "insert", lineno)? {
                 d.insert.push(pair(e, lineno)?);
@@ -1274,13 +1276,15 @@ fn parse_graph_deltas(text: &str) -> Result<Vec<GraphDelta>, CliError> {
 }
 
 /// `{"replace": [{"row", "cols", "vals"?}], "scale": [{"row", "factor"}]}`
-/// per line.
+/// per line; any other key, at either level, is rejected.
 fn parse_csr_deltas(text: &str) -> Result<Vec<CsrDelta>, CliError> {
     script_lines(text)
         .map(|(lineno, line)| {
             let v = script_value(lineno, line)?;
+            script_keys(&v, &["replace", "scale"], "an spmm delta", lineno)?;
             let mut ops = Vec::new();
             for r in script_list(&v, "replace", lineno)? {
+                script_keys(r, &["row", "cols", "vals"], "a replace entry", lineno)?;
                 let row = script_u64(
                     r.get("row").unwrap_or(&serde_json::Value::Null),
                     "replace.row",
@@ -1313,6 +1317,7 @@ fn parse_csr_deltas(text: &str) -> Result<Vec<CsrDelta>, CliError> {
                 ops.push(RowOp::Replace { row, cols, vals });
             }
             for s in script_list(&v, "scale", lineno)? {
+                script_keys(s, &["row", "factor"], "a scale entry", lineno)?;
                 let row = script_u64(
                     s.get("row").unwrap_or(&serde_json::Value::Null),
                     "scale.row",
@@ -1959,6 +1964,80 @@ mod tests {
         for f in [&mtx, &cc_ops, &sp_ops, &audit, &bad] {
             std::fs::remove_file(f).ok();
         }
+    }
+
+    /// Unknown keys, at the top level or inside a replace/scale entry, and
+    /// non-object lines are line-numbered errors; `{}` stays a legal empty
+    /// step.
+    #[test]
+    fn drift_scripts_reject_unknown_keys() {
+        let graph_err = |text: &str| parse_graph_deltas(text).unwrap_err().0;
+        let csr_err = |text: &str| parse_csr_deltas(text).unwrap_err().0;
+
+        let e = graph_err("{\"op\": \"bogus\"}\n");
+        assert!(
+            e.contains("line 1") && e.contains("unknown key \"op\""),
+            "{e}"
+        );
+        let e = graph_err("{\"insert\": [[1, 2]]}\n# comment\n{\"inserts\": [[2, 3]]}\n");
+        assert!(e.contains("line 3") && e.contains("\"inserts\""), "{e}");
+        let e = graph_err("[[1, 2]]\n");
+        assert!(e.contains("line 1") && e.contains("JSON object"), "{e}");
+
+        let e = csr_err("{\"replac\": []}\n");
+        assert!(e.contains("line 1") && e.contains("\"replac\""), "{e}");
+        let e = csr_err("{}\n{\"replace\": [{\"row\": 1, \"col\": [2]}]}\n");
+        assert!(e.contains("line 2") && e.contains("\"col\""), "{e}");
+        let e = csr_err("{\"scale\": [{\"row\": 0, \"factor\": 2.0, \"by\": 3}]}\n");
+        assert!(e.contains("line 1") && e.contains("\"by\""), "{e}");
+        let e = csr_err("{\"replace\": [7]}\n");
+        assert!(e.contains("line 1") && e.contains("JSON object"), "{e}");
+        let e = csr_err("\"scale\"\n");
+        assert!(e.contains("line 1") && e.contains("JSON object"), "{e}");
+
+        let empty = parse_graph_deltas("{}\n").unwrap();
+        assert_eq!(empty.len(), 1);
+        assert!(empty[0].insert.is_empty() && empty[0].delete.is_empty());
+        let empty = parse_csr_deltas("{}\n").unwrap();
+        assert_eq!(empty.len(), 1);
+        assert!(empty[0].ops.is_empty());
+
+        // Through the CLI: the bogus step fails the request instead of
+        // being served as a "patched" empty delta.
+        let dir = std::env::temp_dir().join("nbwp_cli_drift_keys_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mtx = dir.join("rma10.mtx");
+        let ops = dir.join("bogus.jsonl");
+        run(&Command::Gen {
+            dataset: "rma10".into(),
+            scale: 0.005,
+            seed: 3,
+            out: mtx.to_str().unwrap().into(),
+        })
+        .unwrap();
+        std::fs::write(&ops, "{\"op\": \"bogus\"}\n").unwrap();
+        let e = run(&Command::Estimate {
+            workload: "cc".into(),
+            input: Some(mtx.to_str().unwrap().into()),
+            batch: None,
+            cache_size: None,
+            seed: 3,
+            exhaustive: false,
+            strategy: None,
+            analytic: false,
+            trace_out: None,
+            metrics: false,
+            metrics_out: None,
+            audit_out: None,
+            drift: Some(ops.to_str().unwrap().into()),
+            devices: None,
+        })
+        .unwrap_err();
+        assert!(e.0.contains("line 1") && e.0.contains("\"op\""), "{}", e.0);
+        for f in [&mtx, &ops] {
+            std::fs::remove_file(f).ok();
+        }
+        std::fs::remove_dir(&dir).ok();
     }
 
     #[test]

@@ -74,8 +74,7 @@ pub mod prelude {
     pub use crate::threshold_cache::{CacheStats, ThresholdCache, SHADOW_REGRET_CAPACITY};
     pub use crate::workloads::{
         CcSampler, CcWorkload, DenseGemmWorkload, HhSampler, HhWorkload, ListRankingWorkload,
-        MultiPlatform, MultiRunReport, MultiSpmmWorkload, Shares, SortWorkload, SpmmWorkload,
-        SpmvWorkload,
+        SortWorkload, SpmmWorkload, SpmvWorkload,
     };
     pub use nbwp_par::Pool;
     pub use nbwp_sim::{

@@ -70,10 +70,14 @@ impl CcWorkload {
         &self.graph
     }
 
-    /// Default sample size: `⌈√n⌉` vertices (§III.A.1), scaled by `factor`.
+    /// Default sample size: `⌈√n⌉` vertices (§III.A.1), scaled by `factor`,
+    /// and at least 4. Graphs below that minimum are sampled whole (an
+    /// empty graph gives an empty sample).
     #[must_use]
     pub fn sample_size(&self, factor: f64) -> usize {
-        (((self.graph.n() as f64).sqrt() * factor).ceil() as usize).clamp(4, self.graph.n())
+        (((self.graph.n() as f64).sqrt() * factor).ceil() as usize)
+            .max(4)
+            .min(self.graph.n())
     }
 
     /// Full run returning the complete hybrid outcome (labels included).

@@ -4,7 +4,6 @@
 pub mod cc;
 pub mod dense;
 pub mod list;
-pub mod multi;
 pub mod scalefree;
 pub mod sort;
 pub mod spmm;
@@ -13,7 +12,6 @@ pub mod spmv;
 pub use cc::{CcSampler, CcWorkload};
 pub use dense::DenseGemmWorkload;
 pub use list::ListRankingWorkload;
-pub use multi::{MultiPlatform, MultiRunReport, MultiSpmmWorkload, Shares};
 pub use scalefree::{HhProfile, HhSampler, HhWorkload};
 pub use sort::SortWorkload;
 pub use spmm::{SpmmProfile, SpmmWorkload};

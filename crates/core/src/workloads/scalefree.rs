@@ -488,8 +488,10 @@ impl Sampleable for HhWorkload {
         // the largest degree among √n sampled rows is ≈ √(largest overall)
         // — the order-statistics fact behind the paper's offline best-fit
         // t_A = t_s × t_s (realized here by the Square extrapolator).
-        let s =
-            (((self.a.rows() as f64).sqrt() * spec.factor).ceil() as usize).clamp(4, self.a.rows());
+        // Matrices below the 4-row minimum are sampled whole.
+        let s = (((self.a.rows() as f64).sqrt() * spec.factor).ceil() as usize)
+            .max(4)
+            .min(self.a.rows());
         let sampled = match self.sampler {
             HhSampler::Uniform => sample_rows_contract(&self.a, s, rng),
             HhSampler::Importance => sample_rows_importance(&self.a, s, rng).0,

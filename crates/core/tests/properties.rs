@@ -100,19 +100,6 @@ proptest! {
     }
 
     #[test]
-    fn multi_device_shares_always_partition(a in arb_matrix(), k in 1usize..4) {
-        let w = MultiSpmmWorkload::new(a, MultiPlatform::xeon_with_k40cs(k).scaled_for(0.05));
-        let shares = w.rebalance(&Shares::equal(k + 1), 3);
-        shares.validate(k + 1);
-        let ranges = w.row_ranges(&shares);
-        prop_assert_eq!(ranges[0].0, 0);
-        prop_assert_eq!(ranges.last().unwrap().1, w.size());
-        for pair in ranges.windows(2) {
-            prop_assert_eq!(pair[0].1, pair[1].0);
-        }
-    }
-
-    #[test]
     fn chunked_dynamic_never_beats_the_exhaustive_static_optimum_by_much(a in arb_matrix()) {
         // With zero per-chunk overhead and fine chunks, dynamic scheduling
         // approaches — but does not dramatically beat — the best static

@@ -63,9 +63,10 @@ pub fn sample_submatrix<R: Rng>(a: &Csr, k: usize, rng: &mut R) -> Csr {
     sample_submatrix_frac(a, 1.0 / k as f64, rng)
 }
 
-/// Fractional variant of [`sample_submatrix`]: keeps `⌈n·frac⌉` rows and
-/// each row entry with probability `frac` (the paper's sensitivity study,
-/// Fig. 6, sweeps `frac` from `n/10` to `4n/10`).
+/// Fractional variant of [`sample_submatrix`]: keeps `⌈n·frac⌉` rows (at
+/// least one; an empty matrix gives an empty sample) and each row entry
+/// with probability `frac` (the paper's sensitivity study, Fig. 6, sweeps
+/// `frac` from `n/10` to `4n/10`).
 ///
 /// # Panics
 /// Panics if `frac ∉ (0, 1]` or the matrix is not square.
@@ -78,7 +79,7 @@ pub fn sample_submatrix_frac<R: Rng>(a: &Csr, frac: f64, rng: &mut R) -> Csr {
         "submatrix sampling expects a square matrix"
     );
     let n = a.rows();
-    let s = ((n as f64 * frac).ceil() as usize).clamp(1, n);
+    let s = ((n as f64 * frac).ceil() as usize).max(1).min(n);
     let picked = choose_sorted(n, s, rng);
     let mut coo = Coo::with_capacity(s, s, (a.nnz() as f64 * frac * frac) as usize + s);
     for (new_i, &i) in picked.iter().enumerate() {
@@ -107,10 +108,15 @@ pub fn sample_submatrix_frac<R: Rng>(a: &Csr, frac: f64, rng: &mut R) -> Csr {
 /// Paper §V.A.1: samples `s` rows of `A` uniformly at random and transforms
 /// column indices so they lie within `0..s`. Row degrees are preserved up to
 /// bucket collisions (a row of degree `d` keeps ≈ `d` entries while
-/// `d ≪ s`, saturating at `s`).
+/// `d ≪ s`, saturating at `s`). `s` is capped at the row count, so a matrix
+/// smaller than `s` is sampled whole and an empty one gives an empty
+/// sample.
+///
+/// # Panics
+/// Panics if `s == 0` on a non-empty matrix.
 #[must_use]
 pub fn sample_rows_contract<R: Rng>(a: &Csr, s: usize, rng: &mut R) -> Csr {
-    assert!(s > 0, "sample size must be positive");
+    assert!(s > 0 || a.rows() == 0, "sample size must be positive");
     let n = a.rows();
     let s = s.min(n);
     let picked = choose_sorted(n, s, rng);
@@ -226,6 +232,15 @@ mod tests {
 
     fn rng(seed: u64) -> SmallRng {
         SmallRng::seed_from_u64(seed)
+    }
+
+    #[test]
+    fn samplers_take_an_empty_matrix_whole() {
+        let empty = Coo::with_capacity(0, 0, 0).into_csr();
+        assert_eq!(sample_submatrix_frac(&empty, 0.25, &mut rng(1)).rows(), 0);
+        assert_eq!(sample_rows_contract(&empty, 0, &mut rng(1)).rows(), 0);
+        let (m, picked) = sample_rows_importance(&empty, 0, &mut rng(1));
+        assert_eq!((m.rows(), picked.len()), (0, 0));
     }
 
     #[test]
@@ -372,9 +387,13 @@ mod tests {
 ///
 /// Returns the sampled matrix plus, for each kept row, its original row
 /// index (callers correcting for the sampling bias need the provenance).
+/// `s` is capped at the row count, as in [`sample_rows_contract`].
+///
+/// # Panics
+/// Panics if `s == 0` on a non-empty matrix.
 #[must_use]
 pub fn sample_rows_importance<R: Rng>(a: &Csr, s: usize, rng: &mut R) -> (Csr, Vec<usize>) {
-    assert!(s > 0, "sample size must be positive");
+    assert!(s > 0 || a.rows() == 0, "sample size must be positive");
     let n = a.rows();
     let s = s.min(n);
     // Weighted sampling without replacement via exponential keys

@@ -1,5 +1,6 @@
 //! Cross-crate integration for the beyond-the-paper extensions: sorting,
-//! list ranking, SpMV, multi-device vectors, energy sweeps, calibration.
+//! list ranking, SpMV, k-way multi-device partitions, energy sweeps,
+//! calibration.
 
 use nbwp_core::prelude::*;
 use nbwp_datasets::Dataset;
@@ -43,23 +44,6 @@ fn spmv_case_study_end_to_end() {
     let (y, report) = w.run_numeric(est.threshold);
     assert_eq!(y.len(), w.size());
     assert!(report.total().as_secs() > 0.0);
-}
-
-#[test]
-fn multi_device_pipeline_on_registry_data() {
-    let d = Dataset::by_name("cop20k_A").unwrap();
-    let w = MultiSpmmWorkload::new(
-        d.matrix(SCALE, SEED),
-        MultiPlatform::xeon_with_k40cs(2).scaled_for(SCALE),
-    );
-    let (est, cost) = w.estimate(SEED);
-    est.validate(3);
-    let equal = Shares::equal(3);
-    assert!(
-        w.time_at(&est) <= w.time_at(&equal) * 1.05,
-        "estimated vector must not lose to equal shares"
-    );
-    assert!(cost.as_secs() > 0.0);
 }
 
 #[test]
@@ -118,4 +102,89 @@ fn importance_sampler_runs_through_the_estimator() {
         .run(&w);
     let space = w.space();
     assert!(est.threshold >= space.lo && est.threshold <= space.hi);
+}
+
+/// The fixed spmm input of the k-way tests: 3000 uniform rows of degree
+/// 10 on the K40c + Xeon platform scaled to 0.05.
+fn kway_input() -> SpmmWorkload {
+    SpmmWorkload::new(
+        nbwp_sparse::gen::uniform_random(3000, 10, 7),
+        Platform::k40c_xeon_e5_2650().scaled_for(0.05),
+    )
+}
+
+fn cpu_two_gpus(third_speed: f64) -> DeviceSet {
+    DeviceSet::new(
+        "cpu-gpu-gpu",
+        vec![
+            Device::cpu(),
+            Device::gpu(),
+            Device::gpu().with_speed(third_speed),
+        ],
+    )
+}
+
+fn kway_partition(w: &SpmmWorkload, set: &DeviceSet) -> PartitionOutcome {
+    Searcher::new(Strategy::Analytic { step: None })
+        .profiled()
+        .run_partition(w, set)
+}
+
+#[test]
+fn run_partition_beats_equal_and_flops_splits() {
+    let w = kway_input();
+    let profile = w.build_profile(Pool::global());
+    let curve = w.curve(&profile).expect("spmm exposes a cost curve");
+    let units = curve.splits() - 1;
+    // Measured on this input: analytic / equal is 0.714 (two K40cs) and
+    // 0.639 (K40c + iGPU); analytic / FLOPS is 0.543 and 0.404.
+    for set in [cpu_two_gpus(1.0), cpu_two_gpus(60.0 / 288.0)] {
+        let price = |p: &Partition| curve.partition_total(&set, p).expect("spmm prices bands");
+        let equal = price(&Partition::proportional(units, &[1.0; 3]));
+        let flops = price(&Partition::proportional(
+            units,
+            &set.weights(w.platform().gpu_flops_share()),
+        ));
+        let kway = kway_partition(&w, &set);
+        assert_eq!(
+            kway.partition.as_ref().map(price),
+            Some(kway.total),
+            "the outcome's total is its partition's exact price"
+        );
+        assert!(
+            kway.total <= equal * 0.72,
+            "{}: analytic {} vs equal {equal}",
+            set.name(),
+            kway.total
+        );
+        assert!(
+            kway.total <= flops * 0.55,
+            "{}: analytic {} vs FLOPS {flops}",
+            set.name(),
+            kway.total
+        );
+    }
+}
+
+#[test]
+fn run_partition_two_gpus_beat_one() {
+    let w = kway_input();
+    let one = kway_partition(&w, &DeviceSet::cpu_gpu()).total;
+    let two = kway_partition(&w, &cpu_two_gpus(1.0)).total;
+    // Measured: 0.609 of the CPU + one-GPU optimum.
+    assert!(two <= one * 0.62, "1 GPU {one}, 2 GPUs {two}");
+}
+
+#[test]
+fn run_partition_gives_the_slower_gpu_less_work() {
+    // A banded matrix: device-memory-bound SpGEMM, so the integrated
+    // GPU's bandwidth deficit against the K40c shows.
+    let w = SpmmWorkload::new(
+        nbwp_sparse::gen::banded_fem(3000, 30, 24, 9),
+        Platform::k40c_xeon_e5_2650().scaled_for(0.05),
+    );
+    let f = kway_partition(&w, &cpu_two_gpus(60.0 / 288.0)).fractions;
+    assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-12, "{f:?}");
+    // Measured: the iGPU takes 19.2% of the rows, the K40c 38.1%.
+    assert!(f[2] <= f[1] * 0.51, "K40c {:.3} vs iGPU {:.3}", f[1], f[2]);
 }

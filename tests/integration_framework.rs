@@ -136,3 +136,49 @@ fn platform_scaling_preserves_device_balance() {
     let scaled = full.scaled_for(0.1);
     assert!((full.gpu_flops_share() - scaled.gpu_flops_share()).abs() < 1e-12);
 }
+
+/// Inputs below the minimum sample size (4 rows for cc and hh) are sampled
+/// whole, so the default pipeline of every case study returns an in-space
+/// threshold with a finite cost on 0-, 1- and 2-row matrices.
+#[test]
+fn estimator_runs_on_inputs_below_the_minimum_sample() {
+    let header = "%%MatrixMarket matrix coordinate real general\n";
+    for text in [
+        format!("{header}0 0 0\n"),
+        format!("{header}1 1 1\n1 1 1.0\n"),
+        format!("{header}2 2 2\n1 2 1.0\n2 1 1.0\n"),
+    ] {
+        let a = nbwp_sparse::io::read_matrix_market(text.as_bytes()).expect("valid MatrixMarket");
+        let n = a.rows();
+        let platform = Platform::k40c_xeon_e5_2650();
+        let check = |what: &str, t: f64, space: &ThresholdSpace, total: SimTime| {
+            assert!(
+                t.is_finite() && space.clamp(t) == t,
+                "{what} on {n} rows: threshold {t} outside the space"
+            );
+            assert!(total.as_millis().is_finite(), "{what} on {n} rows: {total}");
+        };
+
+        let cc = CcWorkload::new(nbwp_graph::Graph::from_matrix(&a), platform);
+        assert_eq!(cc.sample_size(1.0), n, "cc samples the whole input");
+        let est = Estimator::new(Strategy::CoarseToFine).run(&cc);
+        check("cc", est.threshold, &cc.space(), cc.time_at(est.threshold));
+
+        let spmm = SpmmWorkload::new(a.clone(), platform);
+        let est = Estimator::new(Strategy::RaceThenFine).run(&spmm);
+        check(
+            "spmm",
+            est.threshold,
+            &spmm.space(),
+            spmm.time_at(est.threshold),
+        );
+
+        let hh = HhWorkload::new(a, platform);
+        let est = Estimator::new(Strategy::GradientDescent {
+            max_evals: DEFAULT_GRADIENT_EVALS,
+        })
+        .run(&hh);
+        assert!(est.sample_size <= n, "hh samples at most the whole input");
+        check("hh", est.threshold, &hh.space(), hh.time_at(est.threshold));
+    }
+}
