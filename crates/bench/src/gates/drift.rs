@@ -1,10 +1,9 @@
-//! `bench_drift` — incremental re-estimation harness for the drift layer,
-//! emitting machine-readable `BENCH_drift.json`.
+//! `drift` section — incremental re-estimation through the drift layer.
 //!
 //! The drift layer (`nbwp_core::drift`) promises that after a workload
 //! delta, span-patched curves, chained fingerprints, and warm-restarted
 //! threshold searches are *exactly* what a from-scratch re-estimation
-//! would produce — only cheaper. This harness replays mutate-estimate
+//! would produce — only cheaper. This section replays mutate-estimate
 //! loops at three delta fractions (0.1%, 1%, 10% of the input's work
 //! units) on the cc and spmm workloads and checks both halves:
 //!
@@ -15,7 +14,8 @@
 //!    minimization: on a multi-modal curve the warm hill-descent may
 //!    settle in a neighbouring basin, so the gate bounds the *cost* of
 //!    the served threshold over the cold minimum (≤1%) rather than
-//!    demanding bitwise-equal thresholds. Any violation exits nonzero.
+//!    demanding bitwise-equal thresholds. No step may fall back to a
+//!    full rebuild.
 //! 2. **Throughput** (full mode, per the enforce-or-skip convention): at
 //!    the 1% fraction, the patched mutate-estimate step must be at least
 //!    5x cheaper than a cold rebuild step (apply delta + full profile
@@ -28,22 +28,17 @@
 //! The measured span fractions land in the JSON — they are the
 //! measurement behind `PATCH_CROSSOVER_FRACTION` (see DESIGN.md).
 //!
-//! Schema v2 adds the patch-vs-rebuild **policy comparison**: every
-//! scenario is replayed under the adaptive crossover (the default), the
+//! The patch-vs-rebuild **policy comparison** replays every
+//! scenario under the adaptive crossover (the default), the
 //! fixed patch-at-`PATCH_CROSSOVER_FRACTION` policy, and rebuild-always,
 //! and their total work — the deterministic unit the adaptive policy
 //! itself optimizes, `touched span + curve probes` summed over the steps
 //! — is compared. The `adaptive_vs_best_fixed` gate (enforced in every
 //! mode; work units are deterministic) requires the adaptive policy to
 //! match or beat the better fixed policy on every scenario.
-//!
-//! Usage: `bench_drift [--quick] [--out <path>] [--seed <u64>]`
 
 use std::time::Instant;
 
-use nbwp_bench::harness::{
-    available_parallelism, finish, gate_max, gate_min, write_report, GateOpts, GateResult,
-};
 use nbwp_core::prelude::*;
 use nbwp_graph::delta::GraphDelta;
 use nbwp_graph::gen as graph_gen;
@@ -51,7 +46,10 @@ use nbwp_sparse::delta::{CsrDelta, RowOp};
 use nbwp_sparse::gen as sparse_gen;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
+use serde::{Serialize, Value};
+
+use super::{Config, QUICK_SKIP};
+use crate::harness::Gates;
 
 /// Delta fractions exercised per workload (touched units / total units).
 const FRACTIONS: [f64; 3] = [0.001, 0.01, 0.1];
@@ -93,15 +91,8 @@ struct Entry {
 }
 
 #[derive(Serialize)]
-struct Report {
-    schema: &'static str,
-    quick: bool,
-    seed: u64,
+struct Body {
     repetitions: usize,
-    available_parallelism: usize,
-    exact: bool,
-    mismatches: Vec<String>,
-    gates: Vec<GateResult>,
     entries: Vec<Entry>,
 }
 
@@ -210,7 +201,7 @@ fn run_script<W>(
     reps: usize,
     profile_eq: impl Fn(&W::Profile, &W::Profile) -> bool,
     refresh: impl Fn(&W) -> W,
-    mismatches: &mut Vec<String>,
+    gates: &mut Gates,
 ) -> Entry
 where
     W: DriftWorkload + Clone,
@@ -219,13 +210,13 @@ where
     let units = base.units();
 
     // Checked replay: every step's patched state vs a from-scratch one.
-    let mut parity = true;
+    let (mut profile_mismatches, mut fingerprint_mismatches) = (0usize, 0usize);
     let (mut n_patched, mut n_nudged, mut n_rebuilt) = (0u64, 0u64, 0u64);
     let mut span_sum = 0usize;
     let mut max_regret = 0.0f64;
     {
         let mut server = DriftServer::new(base.clone());
-        for (i, d) in deltas.iter().enumerate() {
+        for d in deltas {
             let step = server.apply(d);
             match step.decision {
                 DriftDecision::Patched => n_patched += 1,
@@ -234,12 +225,7 @@ where
             }
             span_sum += step.span.len();
             let fresh = server.workload().build_profile(pool);
-            if !profile_eq(server.profile(), &fresh) {
-                parity = false;
-                mismatches.push(format!(
-                    "{name}@{fraction}: step {i} patched profile differs from a fresh rebuild"
-                ));
-            }
+            profile_mismatches += usize::from(!profile_eq(server.profile(), &fresh));
             // Warm descent may settle in a neighbouring basin of a
             // multi-modal curve; what must hold is that serving its
             // threshold costs (almost) nothing over the cold minimum.
@@ -262,14 +248,23 @@ where
             max_regret = max_regret.max(regret);
             drop(curve);
             let drifted = server.workload().fingerprint();
-            if !fingerprint_stats_eq(&drifted, &refresh(server.workload()).fingerprint()) {
-                parity = false;
-                mismatches.push(format!(
-                    "{name}@{fraction}: step {i} chained fingerprint statistics differ from a fresh sketch"
-                ));
-            }
+            fingerprint_mismatches += usize::from(!fingerprint_stats_eq(
+                &drifted,
+                &refresh(server.workload()).fingerprint(),
+            ));
         }
     }
+    let pct = fraction * 100.0;
+    gates.max(
+        format_args!("{name}.profile_mismatches@{pct}%"),
+        profile_mismatches as f64,
+        0.0,
+    );
+    gates.max(
+        format_args!("{name}.fingerprint_mismatches@{pct}%"),
+        fingerprint_mismatches as f64,
+        0.0,
+    );
 
     // Policy comparison: the same delta stream under the adaptive
     // crossover and under both fixed policies, scored in the
@@ -357,82 +352,68 @@ where
         fixed_patch_work_units: fixed_patch_work,
         rebuild_always_work_units: rebuild_always_work,
         adaptive_vs_best_fixed,
-        parity,
+        parity: profile_mismatches == 0 && fingerprint_mismatches == 0,
     }
 }
 
 /// Gates for one entry: the served threshold must always stay within 1%
-/// of the cold minimum and the adaptive crossover must match or beat the
-/// better fixed policy in deterministic work units (both enforced in
-/// every mode), and at the gated fraction the patched step must be ≥5x
-/// cheaper than a cold re-estimation (wall clock, full mode only).
-fn push_gates(
-    name: &str,
-    fraction: f64,
-    entry: &Entry,
-    quick: bool,
-    gates: &mut Vec<GateResult>,
-    mismatches: &mut Vec<String>,
-) {
-    gates.push(gate_max(
-        &format!("{name}.serve_regret@{}%", fraction * 100.0),
+/// of the cold minimum, the adaptive crossover must match or beat the
+/// better fixed policy in deterministic work units, and no step may
+/// rebuild (all enforced in every mode); at the gated fraction the
+/// patched step must be ≥5x cheaper than a cold re-estimation (wall
+/// clock, full mode only).
+fn push_gates(entry: &Entry, quick: bool, gates: &mut Gates) {
+    let (name, pct) = (&entry.workload, entry.fraction * 100.0);
+    gates.max(
+        format_args!("{name}.serve_regret@{pct}%"),
         entry.max_serve_vs_cold_regret_pct,
         1.0,
-        true,
-        "",
-        mismatches,
-    ));
-    gates.push(gate_max(
-        &format!("{name}.adaptive_vs_best_fixed@{}%", fraction * 100.0),
+    );
+    gates.max(
+        format_args!("{name}.adaptive_vs_best_fixed@{pct}%"),
         entry.adaptive_vs_best_fixed,
         1.0,
-        true,
-        "",
-        mismatches,
-    ));
-    if fraction == GATED_FRACTION {
-        gates.push(gate_min(
-            &format!("{name}.patched_vs_cold@1%"),
-            entry.speedup_patched_vs_cold,
-            5.0,
-            !quick,
-            "wall-clock gates are skipped in --quick mode",
-            mismatches,
-        ));
+    );
+    if entry.fraction == GATED_FRACTION {
+        gates
+            .min(
+                format_args!("{name}.patched_vs_cold@1%"),
+                entry.speedup_patched_vs_cold,
+                5.0,
+            )
+            .skip_if(quick, QUICK_SKIP);
     }
+    gates.max(
+        format_args!("{name}.decisions_rebuilt@{pct}%"),
+        entry.decisions_rebuilt as f64,
+        0.0,
+    );
 }
 
-fn main() {
-    let args = GateOpts::parse("bench_drift", "BENCH_drift.json", &[]);
-    let reps = if args.quick { 3 } else { 5 };
-    let (cc_n, spmm_n, steps) = if args.quick {
+/// Runs the section.
+#[allow(clippy::too_many_lines)]
+pub fn run(cfg: &Config, gates: &mut Gates) -> Value {
+    let reps = if cfg.quick { 3 } else { 5 };
+    let (cc_n, spmm_n, steps) = if cfg.quick {
         (30_000, 20_000, 6)
     } else {
         (150_000, 100_000, 8)
     };
     let bandwidth = 16;
-    eprintln!(
-        "bench_drift: {} mode, seed {}, best of {} rep(s), {} steps per script",
-        if args.quick { "quick" } else { "full" },
-        args.seed,
-        reps,
-        steps
-    );
+    eprintln!("best of {reps} rep(s), {steps} steps per script");
 
     let platform = Platform::k40c_xeon_e5_2650();
     eprintln!("building inputs...");
-    let cc_base = CcWorkload::new(graph_gen::fem(cc_n, bandwidth, 8, args.seed), platform);
+    let cc_base = CcWorkload::new(graph_gen::fem(cc_n, bandwidth, 8, cfg.seed), platform);
     let spmm_base = SpmmWorkload::new(
-        sparse_gen::banded_fem(spmm_n, bandwidth, 7, args.seed),
+        sparse_gen::banded_fem(spmm_n, bandwidth, 7, cfg.seed),
         platform,
     );
 
     let mut entries = Vec::new();
-    let mut gates = Vec::new();
-    let mut mismatches = Vec::new();
 
     for (fi, &fraction) in FRACTIONS.iter().enumerate() {
-        let script = cc_script(cc_n, steps, fraction, args.seed + fi as u64);
+        let script = cc_script(cc_n, steps, fraction, cfg.seed + fi as u64);
         let entry = run_script(
             "cc",
             &cc_base,
@@ -441,16 +422,9 @@ fn main() {
             reps,
             |patched, fresh| patched.raw_curves() == fresh.raw_curves(),
             |w| CcWorkload::new(w.graph().clone(), platform),
-            &mut mismatches,
+            gates,
         );
-        push_gates(
-            "cc",
-            fraction,
-            &entry,
-            args.quick,
-            &mut gates,
-            &mut mismatches,
-        );
+        push_gates(&entry, cfg.quick, gates);
         entries.push(entry);
     }
     for (fi, &fraction) in FRACTIONS.iter().enumerate() {
@@ -459,7 +433,7 @@ fn main() {
             bandwidth,
             steps,
             fraction,
-            args.seed + 100 + fi as u64,
+            cfg.seed + 100 + fi as u64,
         );
         let entry = run_script(
             "spmm",
@@ -471,34 +445,33 @@ fn main() {
                 patched.curves() == fresh.curves() && patched.partition() == fresh.partition()
             },
             |w| SpmmWorkload::new(w.matrix().clone(), platform),
-            &mut mismatches,
+            gates,
         );
-        push_gates(
-            "spmm",
-            fraction,
-            &entry,
-            args.quick,
-            &mut gates,
-            &mut mismatches,
-        );
+        push_gates(&entry, cfg.quick, gates);
         entries.push(entry);
     }
 
-    let report = Report {
-        schema: "nbwp-bench-drift/v2",
-        quick: args.quick,
-        seed: args.seed,
-        repetitions: reps,
-        available_parallelism: available_parallelism(),
-        exact: mismatches.is_empty(),
-        mismatches: mismatches.clone(),
-        gates,
-        entries,
-    };
-    write_report(&args.out, &report);
-    finish(
-        &mismatches,
-        "DRIFT GATE VIOLATION",
-        "all patched profiles, chained fingerprints, and served thresholds match from-scratch re-estimation",
+    // cc and spmm, each replayed at 0.1% / 1% / 10% drift, with both
+    // step timings measured.
+    gates.check(
+        "rows",
+        entries
+            .iter()
+            .map(|e| (e.workload.as_str(), e.fraction))
+            .eq(["cc", "spmm"]
+                .into_iter()
+                .flat_map(|w| FRACTIONS.map(|f| (w, f)))),
     );
+    gates.check(
+        "step_timings_positive",
+        entries
+            .iter()
+            .all(|e| e.patched_step_ms > 0.0 && e.cold_step_ms > 0.0),
+    );
+
+    Body {
+        repetitions: reps,
+        entries,
+    }
+    .to_value()
 }

@@ -1,28 +1,28 @@
-//! `bench_eval` — candidate-pricing harness for the cost-profile layer,
-//! emitting machine-readable `BENCH_eval.json`.
+//! `eval` section — candidate pricing through the cost-profile layer.
 //!
 //! For each workload (hybrid CC, row-row spmm, scale-free HH-CPU, dense
-//! GEMM) and each search strategy, the harness times the search twice:
+//! GEMM) and each search strategy, the section times the search twice:
 //! once pricing every candidate with a direct run (`O(input)` per
 //! candidate) and once through the workload's cost profile plus the shared
 //! eval cache (`O(1)`-ish per candidate after one profile pass). Per-eval
 //! wall-clock, eval counts, and speedups are recorded per configuration.
 //!
-//! The run doubles as an **exactness gate**: before timing, every profiled
-//! report across the coarse grid plus a fine grid around each coarse
-//! candidate is compared against the direct run. Any difference — a single
-//! bit of any `SimTime` or kernel counter — is reported and the process
-//! exits nonzero, so a CI smoke run enforces the exactness contract.
-//!
-//! Usage: `bench_eval [--quick] [--out <path>] [--seed <u64>]`
+//! Before timing, every profiled report across the coarse grid plus a fine
+//! grid around each coarse candidate is compared against the direct run:
+//! any difference — a single bit of any `SimTime` or kernel counter —
+//! fails the exactness gate. The analytic, k-way and sensitivity rows
+//! gate argmin parity, probe ratios and one-build resampling.
 
 use std::time::Instant;
 
-use nbwp_bench::harness::{available_parallelism, finish, write_report, GateOpts};
 use nbwp_core::prelude::*;
 use nbwp_graph::gen as graph_gen;
 use nbwp_sparse::gen as sparse_gen;
-use serde::Serialize;
+use serde::{Serialize, Value};
+
+use super::Config;
+use crate::alloc_meter;
+use crate::harness::Gates;
 
 #[derive(Serialize)]
 struct Entry {
@@ -97,14 +97,8 @@ struct KwayEntry {
 }
 
 #[derive(Serialize)]
-struct Report {
-    schema: &'static str,
-    quick: bool,
-    seed: u64,
+struct Body {
     repetitions: usize,
-    available_parallelism: usize,
-    exact: bool,
-    mismatches: Vec<String>,
     workloads: Vec<WorkloadInfo>,
     entries: Vec<Entry>,
     analytic: Vec<AnalyticEntry>,
@@ -137,7 +131,7 @@ fn analytic_gate<W: Profilable>(
     w: &W,
     pool: &Pool,
     analytic: &mut Vec<AnalyticEntry>,
-    mismatches: &mut Vec<String>,
+    gates: &mut Gates,
 ) {
     let exhaustive = Searcher::new(Strategy::Exhaustive { step: None })
         .pool(pool)
@@ -156,19 +150,8 @@ fn analytic_gate<W: Profilable>(
 
     let argmin_match = ana.best_t.to_bits() == exhaustive.best_t.to_bits();
     let eval_ratio = gd.evaluations() as f64 / ana.evaluations().max(1) as f64;
-    if !argmin_match {
-        mismatches.push(format!(
-            "{name}: analytic argmin {} != exhaustive argmin {}",
-            ana.best_t, exhaustive.best_t
-        ));
-    }
-    if eval_ratio < 5.0 {
-        mismatches.push(format!(
-            "{name}: analytic used {} evals vs gradient descent's {} (ratio {eval_ratio:.1} < 5)",
-            ana.evaluations(),
-            gd.evaluations()
-        ));
-    }
+    gates.check(format_args!("{name}.analytic.argmin_match"), argmin_match);
+    gates.min(format_args!("{name}.analytic.eval_ratio"), eval_ratio, 5.0);
     eprintln!(
         "  {name:<10} analytic: {} evals (+{} grad probes) vs gd {} | argmin match: {argmin_match} | x{eval_ratio:.1}",
         ana.evaluations(),
@@ -215,7 +198,7 @@ fn kway_gate<W: Profilable>(
     sets: &[DeviceSet],
     pool: &Pool,
     kway: &mut Vec<KwayEntry>,
-    mismatches: &mut Vec<String>,
+    gates: &mut Gates,
 ) {
     let profile = w.build_profile(pool);
     let curve = w
@@ -271,23 +254,10 @@ fn kway_gate<W: Profilable>(
         let (best_total, best_cuts) = best.expect("exhaustive baseline priced at least one tuple");
 
         let argmin_match = cd.total == best_total && cd.partition.cuts() == best_cuts.as_slice();
-        if !argmin_match {
-            mismatches.push(format!(
-                "{name}/{}: descent argmin {:?} ({}) != exhaustive argmin {:?} ({})",
-                set.name(),
-                cd.partition.cuts(),
-                cd.total,
-                best_cuts,
-                best_total
-            ));
-        }
+        gates.check(format_args!("{name}.kway{k}.argmin_match"), argmin_match);
         let eval_ratio = tuples as f64 / cd.probes.max(1) as f64;
-        if k > 2 && eval_ratio < 5.0 {
-            mismatches.push(format!(
-                "{name}/{}: descent used {} probes vs {tuples} exhaustive tuples (ratio {eval_ratio:.1} < 5)",
-                set.name(),
-                cd.probes
-            ));
+        if k > 2 {
+            gates.min(format_args!("{name}.kway{k}.eval_ratio"), eval_ratio, 5.0);
         }
         let scalar_parity = set.is_canonical_pair().then(|| {
             let scalar = Searcher::new(Strategy::Analytic { step: Some(step) })
@@ -300,18 +270,7 @@ fn kway_gate<W: Profilable>(
                 && cd.partition.cuts() == [split]
                 && cd.total == scalar.best_time
                 && cd.probes == scalar.grad_probes;
-            if !parity {
-                mismatches.push(format!(
-                    "{name}/{}: partition minimum (t = {:?}, total {}, {} probes) is not bitwise the analytic search (t = {}, total {}, {} probes)",
-                    set.name(),
-                    cd.thresholds,
-                    cd.total,
-                    cd.probes,
-                    scalar.best_t,
-                    scalar.best_time,
-                    scalar.grad_probes
-                ));
-            }
+            gates.check(format_args!("{name}.kway{k}.scalar_parity"), parity);
             parity
         });
 
@@ -338,13 +297,14 @@ fn kway_gate<W: Profilable>(
     }
 }
 
-/// Exactness gate: profiled reports must equal direct reports bitwise over
-/// the coarse grid plus a fine grid around every coarse candidate.
+/// Exactness gate: profiled reports (and their totals) must equal direct
+/// reports bitwise over the coarse grid plus a fine grid around every
+/// coarse candidate.
 fn parity_check<W: Profilable>(
     name: &str,
     w: &W,
     pw: &ProfiledWorkload<W>,
-    mismatches: &mut Vec<String>,
+    gates: &mut Gates,
 ) -> usize {
     let space = w.space();
     let mut grid = space.coarse_grid();
@@ -352,20 +312,20 @@ fn parity_check<W: Profilable>(
         grid.extend(space.fine_grid(c));
     }
     let points = grid.len();
+    let (mut reports, mut totals) = (0usize, 0usize);
     for t in grid {
         let direct = w.run(t);
         let profiled = pw.run(t);
-        if direct != profiled {
-            mismatches.push(format!(
-                "{name}: profiled report at t = {t} differs from direct run"
-            ));
-        }
-        if direct.total() != profiled.total() {
-            mismatches.push(format!(
-                "{name}: profiled SimTime at t = {t} differs from direct run"
-            ));
-        }
+        reports += usize::from(direct != profiled);
+        totals += usize::from(direct.total() != profiled.total());
     }
+    gates.max(
+        format_args!("{name}.report_mismatches"),
+        reports as f64,
+        0.0,
+    );
+    gates.max(format_args!("{name}.total_mismatches"), totals as f64, 0.0);
+    gates.min(format_args!("{name}.parity_points"), points as f64, 1.0);
     points
 }
 
@@ -379,15 +339,15 @@ fn sweep_workload<W: Profilable>(
     reps: usize,
     entries: &mut Vec<Entry>,
     workloads: &mut Vec<WorkloadInfo>,
-    mismatches: &mut Vec<String>,
+    gates: &mut Gates,
 ) {
     let pool = Pool::global();
 
     let started = Instant::now();
     let (pw, build_allocs, build_alloc_bytes) =
-        nbwp_bench::alloc_meter::measure(|| ProfiledWorkload::with_pool(w, pool));
+        alloc_meter::measure(|| ProfiledWorkload::with_pool(w, pool));
     let profile_build_ms = started.elapsed().as_secs_f64() * 1e3;
-    let parity_points = parity_check(name, w, &pw, mismatches);
+    let parity_points = parity_check(name, w, &pw, gates);
     workloads.push(WorkloadInfo {
         workload: name.to_string(),
         size: w.size(),
@@ -415,11 +375,10 @@ fn sweep_workload<W: Profilable>(
             profiled_ms = profiled_ms.min(started.elapsed().as_secs_f64() * 1e3);
             profiled_evals = out.evaluations();
         }
-        if evals != profiled_evals {
-            mismatches.push(format!(
-                "{name}/{strategy}: profiled search performed {profiled_evals} evals vs {evals} direct"
-            ));
-        }
+        gates.check(
+            format_args!("{name}.{strategy}.eval_count_parity"),
+            evals == profiled_evals,
+        );
         let per_eval = |ms: f64, n: usize| ms * 1e3 / n.max(1) as f64;
         let speedup = direct_ms / profiled_ms.max(1e-9);
         eprintln!(
@@ -448,77 +407,42 @@ fn sweep_workload<W: Profilable>(
     }
 }
 
-fn main() {
-    let args = GateOpts::parse("bench_eval", "BENCH_eval.json", &[]);
-    let reps = if args.quick { 2 } else { 3 };
-    let (cc_n, spmm_n, hh_n, gemm_n) = if args.quick {
+/// Runs the section.
+#[allow(clippy::too_many_lines)]
+pub fn run(cfg: &Config, gates: &mut Gates) -> Value {
+    let reps = if cfg.quick { 2 } else { 3 };
+    let (cc_n, spmm_n, hh_n, gemm_n) = if cfg.quick {
         (40_000, 60_000, 8_000, 512)
     } else {
         (150_000, 250_000, 30_000, 1024)
     };
-    let cores = available_parallelism();
-    eprintln!(
-        "bench_eval: {} mode, seed {}, {} hardware thread(s), best of {} rep(s)",
-        if args.quick { "quick" } else { "full" },
-        args.seed,
-        cores,
-        reps
-    );
+    eprintln!("best of {reps} rep(s)");
 
     let platform = Platform::k40c_xeon_e5_2650();
     let mut entries = Vec::new();
     let mut workloads = Vec::new();
-    let mut mismatches = Vec::new();
     let mut analytic = Vec::new();
     let mut sensitivity = Vec::new();
 
     eprintln!("building inputs...");
-    let cc = CcWorkload::new(graph_gen::web(cc_n, 8, args.seed), platform);
+    let cc = CcWorkload::new(graph_gen::web(cc_n, 8, cfg.seed), platform);
     // spmm is deliberately the largest input: the acceptance criterion is
     // >= 5x cheaper per-candidate pricing for exhaustive search on it.
-    let spmm = SpmmWorkload::new(sparse_gen::uniform_random(spmm_n, 12, args.seed), platform);
-    let hh = HhWorkload::new(sparse_gen::power_law(hh_n, 10, 2.1, args.seed), platform);
+    let spmm = SpmmWorkload::new(sparse_gen::uniform_random(spmm_n, 12, cfg.seed), platform);
+    let hh = HhWorkload::new(sparse_gen::power_law(hh_n, 10, 2.1, cfg.seed), platform);
     let gemm = DenseGemmWorkload::new(gemm_n, platform);
 
-    sweep_workload(
-        "cc",
-        &cc,
-        reps,
-        &mut entries,
-        &mut workloads,
-        &mut mismatches,
-    );
-    sweep_workload(
-        "spmm",
-        &spmm,
-        reps,
-        &mut entries,
-        &mut workloads,
-        &mut mismatches,
-    );
-    sweep_workload(
-        "scalefree",
-        &hh,
-        reps,
-        &mut entries,
-        &mut workloads,
-        &mut mismatches,
-    );
-    sweep_workload(
-        "gemm",
-        &gemm,
-        reps,
-        &mut entries,
-        &mut workloads,
-        &mut mismatches,
-    );
+    sweep_workload("cc", &cc, reps, &mut entries, &mut workloads, gates);
+    sweep_workload("spmm", &spmm, reps, &mut entries, &mut workloads, gates);
+    sweep_workload("scalefree", &hh, reps, &mut entries, &mut workloads, gates);
+    sweep_workload("gemm", &gemm, reps, &mut entries, &mut workloads, gates);
 
     eprintln!("analytic subgradient descent vs numeric descent...");
     let pool = Pool::global();
-    analytic_gate("cc", &cc, pool, &mut analytic, &mut mismatches);
-    analytic_gate("spmm", &spmm, pool, &mut analytic, &mut mismatches);
-    analytic_gate("scalefree", &hh, pool, &mut analytic, &mut mismatches);
-    analytic_gate("gemm", &gemm, pool, &mut analytic, &mut mismatches);
+    analytic_gate("cc", &cc, pool, &mut analytic, gates);
+    analytic_gate("spmm", &spmm, pool, &mut analytic, gates);
+    analytic_gate("scalefree", &hh, pool, &mut analytic, gates);
+    analytic_gate("gemm", &gemm, pool, &mut analytic, gates);
 
     eprintln!("k-way coordinate descent vs exhaustive cut enumeration...");
     let mut kway = Vec::new();
@@ -526,9 +450,9 @@ fn main() {
     let dual = DeviceSet::dual_cpu_dual_gpu();
     let quad = DeviceSet::quad_cpu_quad_gpu();
     let all_sets = [pair.clone(), dual.clone(), quad];
-    kway_gate("spmm", &spmm, &all_sets, pool, &mut kway, &mut mismatches);
-    kway_gate("gemm", &gemm, &all_sets, pool, &mut kway, &mut mismatches);
-    kway_gate("cc", &cc, &[pair, dual], pool, &mut kway, &mut mismatches);
+    kway_gate("spmm", &spmm, &all_sets, pool, &mut kway, gates);
+    kway_gate("gemm", &gemm, &all_sets, pool, &mut kway, gates);
+    kway_gate("cc", &cc, &[pair, dual], pool, &mut kway, gates);
 
     eprintln!("sensitivity sweep via Profile::resample...");
     let factors = [0.25, 0.5, 1.0, 2.0, 4.0];
@@ -537,7 +461,7 @@ fn main() {
         &spmm,
         &factors,
         Strategy::Analytic { step: None },
-        args.seed,
+        cfg.seed,
         &rec,
     );
     let builds = rec
@@ -545,19 +469,8 @@ fn main() {
         .metrics
         .counter("profile.builds")
         .unwrap_or(u64::MAX);
-    if points.len() != factors.len() {
-        mismatches.push(format!(
-            "spmm sensitivity: {} points for {} factors",
-            points.len(),
-            factors.len()
-        ));
-    }
-    if builds != 1 {
-        mismatches.push(format!(
-            "spmm sensitivity: built {builds} full profiles across {} factors (expected 1)",
-            factors.len()
-        ));
-    }
+    gates.check("spmm.sensitivity.points", points.len() == factors.len());
+    gates.check("spmm.sensitivity.profile_builds", builds == 1);
     eprintln!(
         "  spmm: {} factors swept from {} full profile build(s)",
         factors.len(),
@@ -569,24 +482,51 @@ fn main() {
         profile_builds: builds,
     });
 
-    let report = Report {
-        schema: "nbwp-bench-eval/v4",
-        quick: args.quick,
-        seed: args.seed,
+    // Report shape, plus the headline: exhaustive search on the largest
+    // workload (spmm) prices candidates at least 5x cheaper through the
+    // profile.
+    gates.check("workloads", workloads.len() == 4);
+    gates.check(
+        "alloc_counters_recorded",
+        alloc_meter::snapshot().0 > 0 && workloads.iter().all(|w| w.profile_build_ms >= 0.0),
+    );
+    gates.check("entries", entries.len() == 4 * STRATEGIES.len() * 2);
+    gates.check(
+        "entries_positive",
+        entries.iter().all(|e| e.wall_ms > 0.0 && e.evaluations > 0),
+    );
+    let spmm_exhaustive = entries
+        .iter()
+        .find(|e| e.workload == "spmm" && e.strategy == "exhaustive" && e.mode == "profiled")
+        .map_or(0.0, |e| e.speedup_vs_direct);
+    gates.min("spmm.exhaustive.speedup_vs_direct", spmm_exhaustive, 5.0);
+    gates.check("analytic_rows", analytic.len() == 4);
+    gates.check(
+        "kway_rows",
+        kway.iter().map(|e| (e.workload.as_str(), e.k)).eq([
+            ("spmm", 2),
+            ("spmm", 4),
+            ("spmm", 8),
+            ("gemm", 2),
+            ("gemm", 4),
+            ("gemm", 8),
+            ("cc", 2),
+            ("cc", 4),
+        ]),
+    );
+    gates.check(
+        "kway_probes_positive",
+        kway.iter()
+            .all(|e| e.cd_probes > 0 && e.exhaustive_tuples > 0),
+    );
+
+    Body {
         repetitions: reps,
-        available_parallelism: cores,
-        exact: mismatches.is_empty(),
-        mismatches: mismatches.clone(),
         workloads,
         entries,
         analytic,
         kway,
         sensitivity,
-    };
-    write_report(&args.out, &report);
-    finish(
-        &mismatches,
-        "EXACTNESS VIOLATION",
-        "all profiled reports bitwise equal to direct runs",
-    );
+    }
+    .to_value()
 }

@@ -1,7 +1,7 @@
-//! `bench_serve` — amortized-serving harness for the fingerprint +
-//! threshold-cache layer, emitting machine-readable `BENCH_serve.json`.
+//! `serve` section — amortized serving through the fingerprint +
+//! threshold-cache layer.
 //!
-//! The harness replays a request stream of repeated and perturbed inputs
+//! The section replays a request stream of repeated and perturbed inputs
 //! (the serving scenario: a registry of known inputs queried over and
 //! over, plus structurally similar newcomers) through two pipelines — the
 //! plain sampling estimator under `CoarseToFine` and the profiled
@@ -11,7 +11,7 @@
 //! * **warm**: one shared [`ThresholdCache`] — exact-key hits skip the
 //!   pipeline entirely, near-key hits warm-start the analytic search.
 //!
-//! The run doubles as a **parity gate** on the exactness contract:
+//! It gates the exactness contract:
 //!
 //! * every exact-key hit must be bitwise identical to the run that
 //!   populated its entry (and hence to the cold path whenever that run
@@ -21,10 +21,10 @@
 //!
 //! Near-key warm starts are *not* bitwise-gated: a warm start outside the
 //! cold argmin's basin legally serves a nearby local minimum (see
-//! DESIGN.md, "Fingerprints & amortized serving"). The harness prices
+//! DESIGN.md, "Fingerprints & amortized serving"). The section prices
 //! both decisions on the full input and reports the regret instead. The
 //! headline number — warm per-request cost ≥ 10× cheaper than cold on
-//! repeated inputs — is gated, as is parity. Violations exit nonzero.
+//! repeated inputs — is gated, as is parity.
 //!
 //! The audit layer rides along under two extra gates: an audited replay
 //! of the stream (flight recorder + shadow pricing on every warm start)
@@ -36,7 +36,7 @@
 //! the replay checker before it is committed; shadow-regret p50/p95/max
 //! land in the JSON.
 //!
-//! Schema v3 adds a `kway_warm` section: partition-aware serving at
+//! The `kway_warm` rows gate partition-aware serving at
 //! k = 4 and k = 8. An exact-key partition hit must return the stored
 //! cut vector bitwise (cuts, fractions, total, probes, sweeps), and a
 //! perturbed sibling sharing the base's near key must warm-descend from
@@ -50,21 +50,18 @@
 //! `available_parallelism` is recorded so single-core containers are
 //! legible in the JSON: fingerprint dedup still pays there, pool fan-out
 //! does not.
-//!
-//! Usage: `bench_serve [--quick] [--out <path>] [--audit-out <path>] [--seed <u64>]`
 
 use std::time::Instant;
 
-use nbwp_bench::harness::{
-    available_parallelism, estimate_bits as bits, finish, gate_max, gate_min, percentile,
-    write_report, GateOpts, GateResult,
-};
 use nbwp_core::prelude::*;
 use nbwp_graph::delta::GraphDelta;
 use nbwp_graph::gen as graph_gen;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
+use serde::{Serialize, Value};
+
+use super::Config;
+use crate::harness::{available_parallelism, estimate_bits as bits, percentile, Gates};
 
 #[derive(Serialize)]
 struct StreamInfo {
@@ -119,18 +116,11 @@ struct KwayEntry {
 }
 
 #[derive(Serialize)]
-struct Report {
-    schema: &'static str,
-    quick: bool,
-    seed: u64,
-    available_parallelism: usize,
+struct Body {
     stream: StreamInfo,
     pipelines: Vec<PipelineEntry>,
     kway_warm: Vec<KwayEntry>,
-    gates: Vec<GateResult>,
     audit_log: String,
-    exact: bool,
-    mismatches: Vec<String>,
 }
 
 /// Every float the partition serving contract covers, as raw bits: an
@@ -150,13 +140,7 @@ fn partition_bits(o: &PartitionOutcome) -> Vec<u64> {
 /// the cold argmin from the cached warm seed with ≥ 3× fewer curve
 /// probes (warm-descent gate). Probe counts are deterministic, so both
 /// gates enforce even on single-core containers.
-fn run_kway(
-    set: &DeviceSet,
-    n: usize,
-    seed: u64,
-    gates: &mut Vec<GateResult>,
-    mismatches: &mut Vec<String>,
-) -> KwayEntry {
+fn run_kway(set: &DeviceSet, n: usize, seed: u64, gates: &mut Gates) -> KwayEntry {
     let k = set.len();
     let platform = Platform::k40c_xeon_e5_2650();
     let base = CcWorkload::new(graph_gen::web(n, 6, seed), platform);
@@ -175,11 +159,10 @@ fn run_kway(
         }
     }
     let (sibling, _span) = base.apply_delta(&delta);
-    if base.fingerprint().near_key() != sibling.fingerprint().near_key() {
-        mismatches.push(format!(
-            "kway{k}: the perturbed sibling does not share the base's near key"
-        ));
-    }
+    gates.check(
+        format_args!("kway{k}.sibling_near_key"),
+        base.fingerprint().near_key() == sibling.fingerprint().near_key(),
+    );
 
     let cache = ThresholdCache::new(64);
     let served = Estimator::new(Strategy::Analytic { step: None })
@@ -189,11 +172,10 @@ fn run_kway(
         .profiled();
     let first = served.run_partition_cached(&base);
     let hit = served.run_partition_cached(&base);
-    if partition_bits(&hit) != partition_bits(&first) {
-        mismatches.push(format!(
-            "kway{k}: exact-key partition hit is not bitwise identical to the populating run"
-        ));
-    }
+    gates.check(
+        format_args!("kway{k}.exact_hit_parity"),
+        partition_bits(&hit) == partition_bits(&first),
+    );
 
     // Cold baseline for the sibling (no cache), then the warm near-hit
     // through the cache. A warm start outside the cold argmin's basin
@@ -205,23 +187,17 @@ fn run_kway(
         .run_partition(&sibling, set);
     let warm = served.run_partition_cached(&sibling);
     let warm_regret_pct = (warm.total.as_secs() / cold.total.as_secs() - 1.0) * 100.0;
-    gates.push(gate_max(
-        &format!("kway{k}.warm_regret_pct"),
+    gates.max(
+        format_args!("kway{k}.warm_regret_pct"),
         warm_regret_pct,
         1.0,
-        true,
-        "",
-        mismatches,
-    ));
+    );
     let warm_probe_ratio = cold.probes as f64 / warm.probes.max(1) as f64;
-    gates.push(gate_min(
-        &format!("kway{k}.warm_probe_ratio"),
+    gates.min(
+        format_args!("kway{k}.warm_probe_ratio"),
         warm_probe_ratio,
         3.0,
-        true,
-        "",
-        mismatches,
-    ));
+    );
 
     let st = cache.stats();
     eprintln!(
@@ -317,8 +293,7 @@ fn run_pipeline(
     distinct: usize,
     seed: u64,
     audit_out: Option<&std::path::Path>,
-    gates: &mut Vec<GateResult>,
-    mismatches: &mut Vec<String>,
+    gates: &mut Gates,
 ) -> PipelineEntry {
     let strategy = if analytic {
         Strategy::Analytic { step: None }
@@ -359,6 +334,7 @@ fn run_pipeline(
     let mut warm_ms = 0.0;
     let mut warm_requests = 0usize;
     let mut regrets: Vec<f64> = Vec::new();
+    let (mut hit_mismatches, mut cold_mismatches) = (0usize, 0usize);
     for req in stream {
         let near_before = cache.stats().near_hits;
         let started = Instant::now();
@@ -373,12 +349,7 @@ fn run_pipeline(
             let (populating, _) = first_served[req.unique]
                 .as_ref()
                 .expect("repeat follows a first occurrence");
-            if bits(&est) != bits(populating) {
-                mismatches.push(format!(
-                    "{name}: exact-key hit for input {} is not bitwise identical to the populating run",
-                    req.unique
-                ));
-            }
+            hit_mismatches += usize::from(bits(&est) != bits(populating));
         } else {
             let warm_started = cache.stats().near_hits > near_before;
             if warm_started {
@@ -388,15 +359,22 @@ fn run_pipeline(
                 let served = req.w.run(est.threshold).total();
                 let cold_t = req.w.run(cold_results[req.unique].threshold).total();
                 regrets.push((served.as_secs() / cold_t.as_secs() - 1.0) * 100.0);
-            } else if bits(&est) != bits(&cold_results[req.unique]) {
-                mismatches.push(format!(
-                    "{name}: cold-served first request for input {} differs from the cold path",
-                    req.unique
-                ));
+            } else {
+                cold_mismatches += usize::from(bits(&est) != bits(&cold_results[req.unique]));
             }
             first_served[req.unique] = Some((est, warm_started));
         }
     }
+    gates.max(
+        format_args!("{name}.exact_hit_mismatches"),
+        hit_mismatches as f64,
+        0.0,
+    );
+    gates.max(
+        format_args!("{name}.cold_first_mismatches"),
+        cold_mismatches as f64,
+        0.0,
+    );
     let warm_per_request_ms = warm_ms / warm_requests.max(1) as f64;
     let warm_speedup = cold_per_request_ms / warm_per_request_ms.max(1e-9);
     let st = cache.stats();
@@ -406,6 +384,7 @@ fn run_pipeline(
     // single bit of any served estimate.
     let audit_cache = ThresholdCache::new(64);
     let flight = FlightRecorder::new();
+    let mut audited_mismatches = 0usize;
     for (i, req) in stream.iter().enumerate() {
         let e = Estimator::new(strategy)
             .seed(seed)
@@ -417,20 +396,23 @@ fn run_pipeline(
         } else {
             e.run_cached(&req.w)
         };
-        if bits(&est) != bits(&warm_results[i]) {
-            mismatches.push(format!(
-                "{name}: audited request {i} differs bitwise from the unaudited warm path"
-            ));
-        }
+        audited_mismatches += usize::from(bits(&est) != bits(&warm_results[i]));
     }
+    gates.max(
+        format_args!("{name}.audited_mismatches"),
+        audited_mismatches as f64,
+        0.0,
+    );
     let shadow_regrets = audit_cache.shadow_regrets();
     let shadow_runs = audit_cache.stats().shadow_runs;
     let totals = flight.totals();
     if let Some(path) = audit_out {
         let jsonl = flight.to_jsonl();
-        if let Err(e) = validate_audit_jsonl(&jsonl) {
-            mismatches.push(format!("{name}: emitted audit log fails validation: {e}"));
+        let valid = validate_audit_jsonl(&jsonl);
+        if let Err(e) = &valid {
+            eprintln!("  {name:<18} emitted audit log fails validation: {e}");
         }
+        gates.check(format_args!("{name}.audit_log_valid"), valid.is_ok());
         std::fs::write(path, jsonl).expect("failed to write audit log");
         eprintln!(
             "  {name:<18} wrote audit log ({} events, {} requests) to {}",
@@ -459,14 +441,11 @@ fn run_pipeline(
             (steady_warm, steady_audited, audit_overhead_ratio) = (w, a, ratio);
         }
     }
-    gates.push(gate_max(
-        &format!("{name}.audit_overhead"),
+    gates.max(
+        format_args!("{name}.audit_overhead"),
         audit_overhead_ratio,
         1.10,
-        true,
-        "",
-        mismatches,
-    ));
+    );
 
     // Batch parity (no cache): `run_batch` must equal the cold
     // single-request path bitwise, item by item, for any pool size.
@@ -479,14 +458,16 @@ fn run_pipeline(
             e.run_batch(&ws)
         }
     };
-    for (req, est) in stream.iter().zip(&parity_batch) {
-        if bits(est) != bits(&cold_results[req.unique]) {
-            mismatches.push(format!(
-                "{name}: run_batch result for input {} is not bitwise identical to the cold path",
-                req.unique
-            ));
-        }
-    }
+    let batch_mismatches = stream
+        .iter()
+        .zip(&parity_batch)
+        .filter(|(req, est)| bits(est) != bits(&cold_results[req.unique]))
+        .count();
+    gates.max(
+        format_args!("{name}.batch_mismatches"),
+        batch_mismatches as f64,
+        0.0,
+    );
 
     // Batch throughput (fingerprint dedup + cache + pool) vs a
     // one-at-a-time cold loop over the same stream.
@@ -508,14 +489,7 @@ fn run_pipeline(
     }
     let sequential_cold_wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
-    gates.push(gate_min(
-        &format!("{name}.warm_speedup"),
-        warm_speedup,
-        10.0,
-        true,
-        "",
-        mismatches,
-    ));
+    gates.min(format_args!("{name}.warm_speedup"), warm_speedup, 10.0);
     let mean_regret = regrets.iter().sum::<f64>() / regrets.len().max(1) as f64;
     let max_regret = regrets.iter().copied().fold(0.0f64, f64::max);
     eprintln!(
@@ -553,25 +527,16 @@ fn run_pipeline(
         sequential_cold_wall_ms,
         batch_throughput_rps: rps(batch_wall_ms),
         sequential_cold_throughput_rps: rps(sequential_cold_wall_ms),
-        parity: true, // overwritten from the mismatch list in main
+        parity: true, // overwritten from the pipeline's gates in `run`
     }
 }
 
-fn main() {
-    let args = GateOpts::parse(
-        "bench_serve",
-        "BENCH_serve.json",
-        &[("--audit-out", "BENCH_serve_audit.jsonl")],
-    );
-    let audit_path = args.path("--audit-out").to_path_buf();
-    let (n, rounds) = if args.quick { (12_000, 4) } else { (40_000, 6) };
-    let cores = available_parallelism();
-    eprintln!(
-        "bench_serve: {} mode, seed {}, {} hardware thread(s)",
-        if args.quick { "quick" } else { "full" },
-        args.seed,
-        cores
-    );
+/// Runs the section.
+#[allow(clippy::too_many_lines)]
+pub fn run(cfg: &Config, gates: &mut Gates) -> Value {
+    let audit_path = cfg.audit_out.as_path();
+    let (n, rounds) = if cfg.quick { (12_000, 4) } else { (40_000, 6) };
+    eprintln!("{} hardware thread(s)", available_parallelism());
 
     let platform = Platform::k40c_xeon_e5_2650();
     eprintln!("building inputs...");
@@ -581,14 +546,14 @@ fn main() {
     // the analytic pipeline warm-starts it). Clones share the cached
     // fingerprint, as a registry of known inputs would.
     let bases: Vec<CcWorkload> = vec![
-        CcWorkload::new(graph_gen::web(n, 6, args.seed), platform),
-        CcWorkload::new(graph_gen::road(n, args.seed), platform),
-        CcWorkload::new(graph_gen::random(n, 8, args.seed), platform),
+        CcWorkload::new(graph_gen::web(n, 6, cfg.seed), platform),
+        CcWorkload::new(graph_gen::road(n, cfg.seed), platform),
+        CcWorkload::new(graph_gen::random(n, 8, cfg.seed), platform),
     ];
     let perturbed: Vec<CcWorkload> = vec![
-        CcWorkload::new(graph_gen::web(n, 6, args.seed + 101), platform),
-        CcWorkload::new(graph_gen::road(n, args.seed + 101), platform),
-        CcWorkload::new(graph_gen::random(n, 8, args.seed + 101), platform),
+        CcWorkload::new(graph_gen::web(n, 6, cfg.seed + 101), platform),
+        CcWorkload::new(graph_gen::road(n, cfg.seed + 101), platform),
+        CcWorkload::new(graph_gen::random(n, 8, cfg.seed + 101), platform),
     ];
     let distinct = bases.len();
     let perturbed_n = perturbed.len();
@@ -632,26 +597,16 @@ fn main() {
         perturbed_n
     );
 
-    let mut mismatches = Vec::new();
-    let mut gates = Vec::new();
     let mut pipelines = Vec::new();
     for (name, analytic) in [("coarse_to_fine", false), ("analytic_profiled", true)] {
-        let before = mismatches.len();
+        let mark = gates.mark();
         // Only the analytic pipeline warm-starts (and shadow-prices), so
         // its audit log is the one committed alongside the JSON.
-        let audit_out = analytic.then_some(audit_path.as_path());
+        let audit_out = analytic.then_some(audit_path);
         let mut entry = run_pipeline(
-            name,
-            analytic,
-            &stream,
-            &uniques,
-            distinct,
-            args.seed,
-            audit_out,
-            &mut gates,
-            &mut mismatches,
+            name, analytic, &stream, &uniques, distinct, cfg.seed, audit_out, gates,
         );
-        entry.parity = mismatches.len() == before;
+        entry.parity = gates.clean_since(mark);
         pipelines.push(entry);
     }
 
@@ -663,26 +618,67 @@ fn main() {
         DeviceSet::dual_cpu_dual_gpu(),
         DeviceSet::quad_cpu_quad_gpu(),
     ] {
-        kway_warm.push(run_kway(&set, n, args.seed, &mut gates, &mut mismatches));
+        kway_warm.push(run_kway(&set, n, cfg.seed, gates));
     }
 
-    let report = Report {
-        schema: "nbwp-bench-serve/v3",
-        quick: args.quick,
-        seed: args.seed,
-        available_parallelism: cores,
+    // Report shape, and the stream and cache paths every pipeline and
+    // arity must exercise.
+    gates.min(
+        "stream.requests",
+        stream_info.requests as f64,
+        (stream_info.distinct_inputs + 1) as f64,
+    );
+    gates.check("pipelines", pipelines.len() == 2);
+    for p in &pipelines {
+        let name = &p.pipeline;
+        gates.min(format_args!("{name}.exact_hits"), p.exact_hits as f64, 1.0);
+        gates.min(format_args!("{name}.misses"), p.misses as f64, 1.0);
+        gates.min(
+            format_args!("{name}.audit_events"),
+            p.audit_events as f64,
+            1.0,
+        );
+        if name == "analytic_profiled" {
+            // Warm starts and the full-rate shadow sampler on its audited
+            // replay.
+            gates.min(format_args!("{name}.near_hits"), p.near_hits as f64, 1.0);
+            gates.min(
+                format_args!("{name}.shadow_runs"),
+                p.shadow_runs as f64,
+                1.0,
+            );
+            gates.check(
+                format_args!("{name}.shadow_regret_ordered"),
+                p.shadow_regret_p50_pct <= p.shadow_regret_p95_pct
+                    && p.shadow_regret_p95_pct <= p.shadow_regret_max_pct,
+            );
+        }
+    }
+    gates.check("kway_arities", kway_warm.iter().map(|e| e.arity).eq([4, 8]));
+    for e in &kway_warm {
+        let k = e.arity;
+        gates.min(
+            format_args!("kway{k}.exact_hits"),
+            e.kway_exact_hits as f64,
+            1.0,
+        );
+        gates.min(
+            format_args!("kway{k}.near_hits"),
+            e.kway_near_hits as f64,
+            1.0,
+        );
+        gates.min(
+            format_args!("kway{k}.probes_saved"),
+            e.probes_saved as f64,
+            1.0,
+        );
+    }
+
+    Body {
         stream: stream_info,
         pipelines,
         kway_warm,
-        gates,
         audit_log: audit_path.display().to_string(),
-        exact: mismatches.is_empty(),
-        mismatches: mismatches.clone(),
-    };
-    write_report(&args.out, &report);
-    finish(
-        &mismatches,
-        "SERVING VIOLATION",
-        "all served estimates honor the exactness contract",
-    );
+    }
+    .to_value()
 }

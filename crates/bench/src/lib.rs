@@ -4,7 +4,9 @@
 //! `table1`, `table2`, `fig1`, `fig3` … `fig9`. Each accepts
 //! `--scale <f>` (dataset scale, default 0.02), `--seed <u64>`, and
 //! `--json <path>` to dump rows for EXPERIMENTS.md regeneration.
-//! Criterion benches for the raw kernels live in `benches/`.
+//! The `gates` binary runs every bitwise-parity and ratio gate of the
+//! system (see [`gates`]). Criterion benches for the raw kernels live in
+//! `benches/`.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -19,8 +21,9 @@ pub mod alloc_meter {
     //!
     //! Every harness binary linking this crate allocates through a thin
     //! [`System`] wrapper that keeps two relaxed atomic counters, so
-    //! profile-build allocation traffic can be reported (`bench_eval`) and
-    //! gated (`bench_profile`) without changing how anything allocates.
+    //! profile-build allocation traffic can be reported (the `eval` gate
+    //! section) and gated (`profile`) without changing how anything
+    //! allocates.
 
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,248 +75,8 @@ pub mod alloc_meter {
     }
 }
 
-pub mod harness {
-    //! Shared plumbing of the gate harnesses (`bench_profile`,
-    //! `bench_eval`, `bench_search`, `bench_serve`, `bench_drift`):
-    //! argument parsing, report writing, min-of-K timing,
-    //! percentiles, estimate digests, and the enforce-or-skip gate
-    //! convention.
-    //!
-    //! The convention (ROADMAP, PR 2): **bitwise parity gates are always
-    //! enforced** — any mismatch exits nonzero in every mode. **Wall-clock
-    //! ratio gates are enforced in full mode and skipped in `--quick`**,
-    //! where input sizes are small enough that timer noise could flake CI;
-    //! a skipped gate is still measured and lands in the JSON with its
-    //! skip reason, so regressions stay visible even when not enforced.
-
-    use std::path::{Path, PathBuf};
-    use std::time::Instant;
-
-    use nbwp_core::prelude::{SamplingEstimate, SimTime};
-    use serde::Serialize;
-
-    /// Parsed command-line options shared by the gate harnesses:
-    /// `--quick`, `--out <path>`, `--seed <u64>`, plus any harness-specific
-    /// path-valued flags registered at parse time.
-    pub struct GateOpts {
-        /// Quick mode: smaller inputs, wall-clock gates skipped.
-        pub quick: bool,
-        /// JSON report output path.
-        pub out: PathBuf,
-        /// Input-generation seed.
-        pub seed: u64,
-        extra: Vec<(&'static str, PathBuf)>,
-    }
-
-    impl GateOpts {
-        /// Parses `std::env::args()`. `extra_paths` registers additional
-        /// path-valued flags as `(flag, default)` pairs (e.g.
-        /// `("--audit-out", "BENCH_serve_audit.jsonl")`).
-        ///
-        /// # Panics
-        /// Panics with a usage message on malformed arguments.
-        #[must_use]
-        pub fn parse(bin: &str, default_out: &str, extra_paths: &[(&'static str, &str)]) -> Self {
-            let mut opts = GateOpts {
-                quick: false,
-                out: PathBuf::from(default_out),
-                seed: 42,
-                extra: extra_paths
-                    .iter()
-                    .map(|&(flag, default)| (flag, PathBuf::from(default)))
-                    .collect(),
-            };
-            let mut args = std::env::args().skip(1);
-            'args: while let Some(arg) = args.next() {
-                match arg.as_str() {
-                    "--quick" => opts.quick = true,
-                    "--out" => opts.out = PathBuf::from(args.next().expect("--out needs a path")),
-                    "--seed" => {
-                        let v = args.next().expect("--seed needs a value");
-                        opts.seed = v.parse().expect("--seed must be an integer");
-                    }
-                    "--help" | "-h" => {
-                        let extra: String = opts
-                            .extra
-                            .iter()
-                            .map(|(flag, _)| format!(" [{flag} path]"))
-                            .collect();
-                        eprintln!("usage: {bin} [--quick] [--out path]{extra} [--seed u64]");
-                        std::process::exit(0);
-                    }
-                    other => {
-                        for (flag, slot) in &mut opts.extra {
-                            if *flag == other {
-                                *slot =
-                                    PathBuf::from(args.next().expect("path flag needs a value"));
-                                continue 'args;
-                            }
-                        }
-                        panic!("unknown argument {other}; try --help");
-                    }
-                }
-            }
-            opts
-        }
-
-        /// The value of a registered extra path flag.
-        ///
-        /// # Panics
-        /// Panics if `flag` was not registered in [`GateOpts::parse`].
-        #[must_use]
-        pub fn path(&self, flag: &str) -> &Path {
-            self.extra
-                .iter()
-                .find(|(f, _)| *f == flag)
-                .map(|(_, p)| p.as_path())
-                .unwrap_or_else(|| panic!("flag {flag} was not registered"))
-        }
-    }
-
-    /// Hardware threads available to this process (1 when undetectable) —
-    /// recorded in every gate report so single-core containers are legible.
-    #[must_use]
-    pub fn available_parallelism() -> usize {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    }
-
-    /// Best-of-`reps` wall-clock of `f`, in milliseconds (min-of-K filters
-    /// scheduler noise; K interleaves naturally when callers alternate the
-    /// compared variants).
-    pub fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let started = Instant::now();
-            f();
-            best = best.min(started.elapsed().as_secs_f64() * 1e3);
-        }
-        best
-    }
-
-    /// Nearest-rank percentile over a copy of `values` (`q` in `[0, 1]`).
-    #[must_use]
-    pub fn percentile(values: &[f64], q: f64) -> f64 {
-        if values.is_empty() {
-            return 0.0;
-        }
-        let mut v = values.to_vec();
-        v.sort_by(f64::total_cmp);
-        let rank = ((q * v.len() as f64).ceil() as usize).clamp(1, v.len());
-        v[rank - 1]
-    }
-
-    /// Bitwise digest of a full estimate (decision + accounting) for the
-    /// exactness-contract comparisons.
-    #[must_use]
-    pub fn estimate_bits(e: &SamplingEstimate) -> (u64, u64, SimTime, usize, usize, usize) {
-        (
-            e.threshold.to_bits(),
-            e.sample_threshold.to_bits(),
-            e.overhead,
-            e.evaluations,
-            e.sample_size,
-            e.grad_probes,
-        )
-    }
-
-    /// Outcome of one wall-clock gate under the enforce-or-skip
-    /// convention, serialized into the harness JSON.
-    #[derive(Clone, Debug, Serialize)]
-    pub struct GateResult {
-        /// Gate label (stable across runs; scripts key on it).
-        pub gate: String,
-        /// Measured value (a ratio for speedup/overhead gates).
-        pub measured: f64,
-        /// Threshold the measurement is held to.
-        pub required: f64,
-        /// `"min"` (measured must be ≥ required) or `"max"` (≤).
-        pub direction: &'static str,
-        /// Whether a violation fails the run.
-        pub enforced: bool,
-        /// Whether the measurement met the threshold (recorded even when
-        /// the gate is skipped).
-        pub passed: bool,
-        /// Why the gate was not enforced, when it was not.
-        pub skipped: Option<String>,
-    }
-
-    /// Checks `measured >= required`, failing the run via `mismatches`
-    /// only when `enforce` is set; a skipped gate records `skip_reason`.
-    pub fn gate_min(
-        gate: &str,
-        measured: f64,
-        required: f64,
-        enforce: bool,
-        skip_reason: &str,
-        mismatches: &mut Vec<String>,
-    ) -> GateResult {
-        let passed = measured >= required;
-        if enforce && !passed {
-            mismatches.push(format!(
-                "{gate}: measured x{measured:.2} is below the required x{required:.2}"
-            ));
-        }
-        GateResult {
-            gate: gate.to_string(),
-            measured,
-            required,
-            direction: "min",
-            enforced: enforce,
-            passed,
-            skipped: (!enforce).then(|| skip_reason.to_string()),
-        }
-    }
-
-    /// Checks `measured <= required`, failing the run via `mismatches`
-    /// only when `enforce` is set; a skipped gate records `skip_reason`.
-    pub fn gate_max(
-        gate: &str,
-        measured: f64,
-        required: f64,
-        enforce: bool,
-        skip_reason: &str,
-        mismatches: &mut Vec<String>,
-    ) -> GateResult {
-        let passed = measured <= required;
-        if enforce && !passed {
-            mismatches.push(format!(
-                "{gate}: measured x{measured:.3} exceeds the allowed x{required:.3}"
-            ));
-        }
-        GateResult {
-            gate: gate.to_string(),
-            measured,
-            required,
-            direction: "max",
-            enforced: enforce,
-            passed,
-            skipped: (!enforce).then(|| skip_reason.to_string()),
-        }
-    }
-
-    /// Writes the report as pretty JSON (newline-terminated, the committed
-    /// format) and announces the path.
-    ///
-    /// # Panics
-    /// Panics if serialization or the write fails.
-    pub fn write_report<T: Serialize>(path: &Path, report: &T) {
-        let json = serde_json::to_string_pretty(report).expect("report serializes");
-        std::fs::write(path, json + "\n").expect("failed to write report");
-        eprintln!("wrote {}", path.display());
-    }
-
-    /// Prints every violation under `label` and exits nonzero if there are
-    /// any; otherwise prints `success`.
-    pub fn finish(mismatches: &[String], label: &str, success: &str) {
-        if !mismatches.is_empty() {
-            for m in mismatches {
-                eprintln!("{label}: {m}");
-            }
-            std::process::exit(1);
-        }
-        eprintln!("{success}");
-    }
-}
+pub mod gates;
+pub mod harness;
 
 /// Default dataset scale for harness binaries: large enough that device
 /// ratios are representative, small enough that a full figure regenerates

@@ -332,13 +332,22 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, CliError> {
 /// `name` defaults to the file stem, `speed` to `1.0`, and `link` to
 /// `"host"` for CPUs and `"platform-pcie"` for GPUs; an object link is a
 /// dedicated transfer model (a second PCIe slot, or a NIC-attached remote
-/// accelerator). Every structural error names the offending device
-/// position (`devices[i]: ...`), including the ordering and range rules
-/// enforced by [`DeviceSet::try_new`].
+/// accelerator). Unknown keys are rejected at every level. Every
+/// structural error names the offending device position (`devices[i]:
+/// ...`), including the ordering and range rules enforced by
+/// [`DeviceSet::try_new`].
 fn load_device_set_json(path: &str) -> Result<DeviceSet, String> {
     let text =
         std::fs::read_to_string(Path::new(path)).map_err(|e| format!("cannot read {path}: {e}"))?;
     let v: serde_json::Value = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
+    let keys = |v: &serde_json::Value, allowed: &[&str], what: &str| match unknown_key(v, allowed) {
+        Some(k) => Err(format!(
+            "{what}: unknown key \"{k}\" (expected {})",
+            allowed.join(" | ")
+        )),
+        None => Ok(()),
+    };
+    keys(&v, &["name", "devices"], path)?;
     let name = match v.get("name") {
         None => Path::new(path)
             .file_stem()
@@ -356,6 +365,10 @@ fn load_device_set_json(path: &str) -> Result<DeviceSet, String> {
         .ok_or_else(|| format!("{path}: a topology needs a \"devices\" array"))?;
     let mut devices = Vec::with_capacity(list.len());
     for (i, d) in list.iter().enumerate() {
+        keys(d, &["kind", "speed", "link"], &format!("devices[{i}]"))?;
+        if let Some(l @ serde_json::Value::Object(_)) = d.get("link") {
+            keys(l, &["latency_us", "bw_gbs"], &format!("devices[{i}].link"))?;
+        }
         let kind = d
             .get("kind")
             .and_then(serde_json::Value::as_str)
@@ -1072,7 +1085,7 @@ fn drift_cmd(
     );
     match workload {
         "cc" => {
-            let deltas = parse_graph_deltas(&text)?;
+            let deltas = parse_graph_deltas(&text, a.rows())?;
             let w = CcWorkload::new(Graph::from_matrix(&a), platform);
             replay_drift(
                 &mut out,
@@ -1085,7 +1098,7 @@ fn drift_cmd(
             );
         }
         "spmm" => {
-            let deltas = parse_csr_deltas(&text)?;
+            let deltas = parse_csr_deltas(&text, a.rows(), a.cols())?;
             let w = SpmmWorkload::new(a, platform);
             replay_drift(
                 &mut out,
@@ -1208,17 +1221,29 @@ fn script_keys(
     what: &str,
     lineno: usize,
 ) -> Result<(), CliError> {
-    let serde_json::Value::Object(pairs) = v else {
+    if !matches!(v, serde_json::Value::Object(_)) {
         return Err(err(format!(
             "drift script line {lineno}: {what} must be a JSON object"
         )));
-    };
-    match pairs.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
-        Some((k, _)) => Err(err(format!(
+    }
+    match unknown_key(v, allowed) {
+        Some(k) => Err(err(format!(
             "drift script line {lineno}: unknown key \"{k}\" in {what} (expected {})",
             allowed.join(" | ")
         ))),
         None => Ok(()),
+    }
+}
+
+/// The first key of a JSON object outside `allowed` (`None` when every
+/// key is known, or `v` is not an object).
+fn unknown_key<'v>(v: &'v serde_json::Value, allowed: &[&str]) -> Option<&'v str> {
+    match v {
+        serde_json::Value::Object(pairs) => pairs
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .find(|k| !allowed.contains(k)),
+        _ => None,
     }
 }
 
@@ -1237,22 +1262,54 @@ fn script_list<'v>(
     }
 }
 
-fn script_u64(v: &serde_json::Value, what: &str, lineno: usize) -> Result<u64, CliError> {
-    v.as_u64().ok_or_else(|| {
+/// A non-negative integer below `bound`, the loaded input's extent in
+/// `unit`s; `what` names the field in the error.
+fn script_index(
+    v: &serde_json::Value,
+    what: &str,
+    (bound, unit): (usize, &str),
+    lineno: usize,
+) -> Result<usize, CliError> {
+    let i = v.as_u64().ok_or_else(|| {
         err(format!(
             "drift script line {lineno}: {what} must be an integer"
+        ))
+    })?;
+    usize::try_from(i)
+        .ok()
+        .filter(|&i| i < bound)
+        .ok_or_else(|| {
+            err(format!(
+                "drift script line {lineno}: {what} {i} is out of range (the input has {bound} {unit})"
+            ))
+        })
+}
+
+/// [`script_index`] as a `u32` vertex or column id: ids past `u32::MAX`
+/// are rejected, never truncated.
+fn script_id(
+    v: &serde_json::Value,
+    what: &str,
+    extent: (usize, &str),
+    lineno: usize,
+) -> Result<u32, CliError> {
+    let i = script_index(v, what, extent, lineno)?;
+    u32::try_from(i).map_err(|_| {
+        err(format!(
+            "drift script line {lineno}: {what} {i} exceeds u32::MAX"
         ))
     })
 }
 
-/// `{"insert": [[u, v], ...], "delete": [[u, v], ...]}` per line; any
-/// other key is rejected.
-fn parse_graph_deltas(text: &str) -> Result<Vec<GraphDelta>, CliError> {
+/// `{"insert": [[u, v], ...], "delete": [[u, v], ...]}` per line over an
+/// `n`-vertex graph; any other key, or an endpoint `>= n`, is rejected.
+fn parse_graph_deltas(text: &str, n: usize) -> Result<Vec<GraphDelta>, CliError> {
     let pair = |v: &serde_json::Value, lineno: usize| -> Result<(u32, u32), CliError> {
+        let vertices = (n, "vertices");
         match v.as_array() {
             Some([u, v]) => Ok((
-                script_u64(u, "edge endpoint", lineno)? as u32,
-                script_u64(v, "edge endpoint", lineno)? as u32,
+                script_id(u, "edge endpoint", vertices, lineno)?,
+                script_id(v, "edge endpoint", vertices, lineno)?,
             )),
             _ => Err(err(format!(
                 "drift script line {lineno}: edges must be [u, v] pairs"
@@ -1276,8 +1333,11 @@ fn parse_graph_deltas(text: &str) -> Result<Vec<GraphDelta>, CliError> {
 }
 
 /// `{"replace": [{"row", "cols", "vals"?}], "scale": [{"row", "factor"}]}`
-/// per line; any other key, at either level, is rejected.
-fn parse_csr_deltas(text: &str) -> Result<Vec<CsrDelta>, CliError> {
+/// per line over a `rows x cols` matrix; any other key, at either level,
+/// an out-of-range row or column, or replacement columns that are not
+/// strictly increasing are rejected.
+fn parse_csr_deltas(text: &str, rows: usize, cols: usize) -> Result<Vec<CsrDelta>, CliError> {
+    let (rows, columns) = ((rows, "rows"), (cols, "columns"));
     script_lines(text)
         .map(|(lineno, line)| {
             let v = script_value(lineno, line)?;
@@ -1285,15 +1345,21 @@ fn parse_csr_deltas(text: &str) -> Result<Vec<CsrDelta>, CliError> {
             let mut ops = Vec::new();
             for r in script_list(&v, "replace", lineno)? {
                 script_keys(r, &["row", "cols", "vals"], "a replace entry", lineno)?;
-                let row = script_u64(
+                let row = script_index(
                     r.get("row").unwrap_or(&serde_json::Value::Null),
                     "replace.row",
+                    rows,
                     lineno,
-                )? as usize;
+                )?;
                 let cols = script_list(r, "cols", lineno)?
                     .iter()
-                    .map(|c| script_u64(c, "replace.cols", lineno).map(|c| c as u32))
+                    .map(|c| script_id(c, "replace.cols", columns, lineno))
                     .collect::<Result<Vec<_>, _>>()?;
+                if !cols.windows(2).all(|w| w[0] < w[1]) {
+                    return Err(err(format!(
+                        "drift script line {lineno}: replace row {row} cols must be strictly increasing"
+                    )));
+                }
                 let vals = match r.get("vals") {
                     None => vec![1.0; cols.len()],
                     Some(_) => script_list(r, "vals", lineno)?
@@ -1318,11 +1384,12 @@ fn parse_csr_deltas(text: &str) -> Result<Vec<CsrDelta>, CliError> {
             }
             for s in script_list(&v, "scale", lineno)? {
                 script_keys(s, &["row", "factor"], "a scale entry", lineno)?;
-                let row = script_u64(
+                let row = script_index(
                     s.get("row").unwrap_or(&serde_json::Value::Null),
                     "scale.row",
+                    rows,
                     lineno,
-                )? as usize;
+                )?;
                 let factor = s
                     .get("factor")
                     .and_then(serde_json::Value::as_f64)
@@ -1971,8 +2038,8 @@ mod tests {
     /// step.
     #[test]
     fn drift_scripts_reject_unknown_keys() {
-        let graph_err = |text: &str| parse_graph_deltas(text).unwrap_err().0;
-        let csr_err = |text: &str| parse_csr_deltas(text).unwrap_err().0;
+        let graph_err = |text: &str| parse_graph_deltas(text, 8).unwrap_err().0;
+        let csr_err = |text: &str| parse_csr_deltas(text, 8, 8).unwrap_err().0;
 
         let e = graph_err("{\"op\": \"bogus\"}\n");
         assert!(
@@ -1995,10 +2062,10 @@ mod tests {
         let e = csr_err("\"scale\"\n");
         assert!(e.contains("line 1") && e.contains("JSON object"), "{e}");
 
-        let empty = parse_graph_deltas("{}\n").unwrap();
+        let empty = parse_graph_deltas("{}\n", 0).unwrap();
         assert_eq!(empty.len(), 1);
         assert!(empty[0].insert.is_empty() && empty[0].delete.is_empty());
-        let empty = parse_csr_deltas("{}\n").unwrap();
+        let empty = parse_csr_deltas("{}\n", 0, 0).unwrap();
         assert_eq!(empty.len(), 1);
         assert!(empty[0].ops.is_empty());
 
@@ -2273,6 +2340,154 @@ mod tests {
         }
     }
 
+    /// The serving audit + metrics export smoke test: a 4-request spmm
+    /// batch (two distinct inputs) through the CLI, exported as audit
+    /// JSONL and as Prometheus and JSON metrics, checked with the same
+    /// validators `nbwp trace` uses.
+    #[test]
+    fn batch_audit_and_metrics_exports_validate() {
+        let dir = std::env::temp_dir().join("nbwp_cli_audit_export_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let cli = |line: String| run(&parse_args(&args(&line)).unwrap()).unwrap();
+        let (cant, rma10) = (path("cant.mtx"), path("rma10.mtx"));
+        cli(format!(
+            "gen --dataset cant --scale 0.01 --seed 42 --out {cant}"
+        ));
+        cli(format!(
+            "gen --dataset rma10 --scale 0.01 --seed 43 --out {rma10}"
+        ));
+        let reqs = path("reqs.txt");
+        std::fs::write(&reqs, format!("{cant}\n{rma10}\n{cant}\n{cant}\n")).unwrap();
+        let serve = |audit: &str, metrics: &str| {
+            cli(format!(
+                "estimate spmm --analytic --batch {reqs} --cache-size 8 \
+                 --audit-out {audit} --metrics-out {metrics}"
+            ))
+        };
+        let (audit, prom) = (path("audit.jsonl"), path("metrics.prom"));
+        let (audit2, json) = (path("audit2.jsonl"), path("metrics.json"));
+        serve(&audit, &prom);
+        serve(&audit2, &json);
+
+        // Audit JSONL: header + one event per distinct batch input, with
+        // the schema tag and a coherent decision mix.
+        let text = std::fs::read_to_string(&audit).unwrap();
+        let head = text.lines().next().unwrap();
+        assert!(head.contains("\"schema\":\"nbwp-audit/v3\""), "{head}");
+        let check = nbwp_trace::validate_audit_jsonl(&text).unwrap();
+        let t = &check.totals;
+        assert!(t.requests == 2 && check.events.len() == 2, "{t:?}");
+        assert_eq!(t.exact_hits + t.patched + t.near_hits + t.cold, t.requests);
+        for (i, ev) in check.events.iter().enumerate() {
+            assert_eq!(ev.seq, i as u64);
+            assert!(ev.kind == "spmm" && ev.digest > 0, "{ev:?}");
+        }
+
+        // Prometheus exposition: well-formed lines, the audit counter with
+        // its request count, the cache family, and a full histogram.
+        let text = std::fs::read_to_string(&prom).unwrap();
+        let check = nbwp_trace::validate_prometheus(&text).unwrap();
+        assert!(text.lines().any(|l| l == "nbwp_audit_requests_total 2"));
+        for (family, kind) in [
+            ("nbwp_audit_requests_total", "counter"),
+            ("nbwp_threshold_cache_hit_total", "counter"),
+            ("nbwp_audit_sim_cost_ms", "histogram"),
+        ] {
+            assert_eq!(check.family_type(family), Some(kind), "{family}");
+        }
+        assert!(text.contains("nbwp_audit_sim_cost_ms_bucket{le=\"+Inf\"} "));
+        assert!(text.contains("\nnbwp_audit_sim_cost_ms_count "));
+
+        // JSON export: versioned schema, same counters as the audit log.
+        let m = nbwp_trace::parse_metrics_json(&std::fs::read_to_string(&json).unwrap()).unwrap();
+        assert_eq!(m.counter("audit.requests"), Some(2));
+        assert!(m.counter("threshold_cache.insert").unwrap_or(0) >= 1);
+
+        for f in [cant, rma10, reqs, audit, prom, audit2, json] {
+            std::fs::remove_file(f).ok();
+        }
+    }
+
+    /// Drift-script indices are checked against the loaded input: an
+    /// out-of-range vertex, row or column, an id past `u32::MAX`, or
+    /// non-increasing replacement columns is a line-numbered error, not a
+    /// panic in the delta applier.
+    #[test]
+    fn drift_scripts_reject_out_of_range_indices() {
+        let graph_err = |text: &str, n: usize| parse_graph_deltas(text, n).unwrap_err().0;
+        let csr_err = |text: &str, n: usize| parse_csr_deltas(text, n, n).unwrap_err().0;
+        let e = graph_err("{\"insert\": [[1, 2]]}", 0);
+        assert!(
+            e.contains("line 1") && e.contains("edge endpoint 1 is out of range"),
+            "{e}"
+        );
+        let e = graph_err("{}\n{\"delete\": [[0, 3]]}", 3);
+        assert!(
+            e.contains("line 2") && e.contains("(the input has 3 vertices)"),
+            "{e}"
+        );
+        let e = graph_err("{\"insert\": [[4294967296, 0]]}", usize::MAX);
+        assert!(e.contains("exceeds u32::MAX"), "{e}");
+        let e = csr_err("{\"replace\": [{\"row\": 50, \"cols\": [0]}]}", 1);
+        assert!(e.contains("line 1") && e.contains("replace.row 50"), "{e}");
+        let e = csr_err("{\"replace\": [{\"row\": 0, \"cols\": [90]}]}", 1);
+        assert!(
+            e.contains("replace.cols 90") && e.contains("1 columns"),
+            "{e}"
+        );
+        let e = csr_err("{\"scale\": [{\"row\": 7, \"factor\": 2.0}]}", 7);
+        assert!(e.contains("scale.row 7 is out of range"), "{e}");
+        let e = csr_err("{\"replace\": [{\"row\": 0, \"cols\": [0, 0]}]}", 2);
+        assert!(e.contains("strictly increasing"), "{e}");
+        assert_eq!(
+            parse_graph_deltas("{\"insert\": [[0, 2]]}", 3)
+                .unwrap()
+                .len(),
+            1
+        );
+
+        // Through the CLI, on an empty and a 1x1 input.
+        let dir = std::env::temp_dir().join("nbwp_cli_drift_range_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (empty, one, ops) = (path("empty.mtx"), path("one.mtx"), path("ops.jsonl"));
+        let header = "%%MatrixMarket matrix coordinate real general\n";
+        std::fs::write(&empty, format!("{header}0 0 0\n")).unwrap();
+        std::fs::write(&one, format!("{header}1 1 1\n1 1 1.0\n")).unwrap();
+        let drift = |workload: &str, input: &str, script: &str| {
+            std::fs::write(&ops, script).unwrap();
+            let line = format!("estimate {workload} --input {input} --drift {ops}");
+            run(&parse_args(&args(&line)).unwrap()).unwrap_err().0
+        };
+        let e = drift("cc", &empty, "{\"insert\": [[1, 2]]}\n");
+        assert!(e.contains("line 1") && e.contains("out of range"), "{e}");
+        let e = drift(
+            "spmm",
+            &one,
+            "{\"replace\": [{\"row\": 50, \"cols\": [90]}]}\n",
+        );
+        assert!(e.contains("line 1") && e.contains("replace.row 50"), "{e}");
+        let e = drift(
+            "spmm",
+            &one,
+            "{}\n{\"scale\": [{\"row\": 3, \"factor\": 2}]}\n",
+        );
+        assert!(e.contains("line 2") && e.contains("scale.row 3"), "{e}");
+        let e = drift(
+            "spmm",
+            &one,
+            "{\"replace\": [{\"row\": 0, \"cols\": [0, 0]}]}\n",
+        );
+        assert!(
+            e.contains("line 1") && e.contains("strictly increasing"),
+            "{e}"
+        );
+        for f in [empty, one, ops] {
+            std::fs::remove_file(f).ok();
+        }
+    }
+
     #[test]
     fn parse_devices_flag() {
         let e = parse_args(&args(
@@ -2427,6 +2642,21 @@ mod tests {
                 "devices[1]: a link object needs a numeric \"bw_gbs\"",
             ),
             ("{\"name\": \"x\"}", "needs a \"devices\" array"),
+            // Unknown keys at every level: a misspelled `speed` is an
+            // error, not a full-speed device.
+            (
+                "{\"devices\": [{\"kind\": \"cpu\", \"sped\": 0.1}, {\"kind\": \"gpu\"}]}",
+                "devices[0]: unknown key \"sped\"",
+            ),
+            (
+                "{\"nmae\": \"x\", \"devices\": [{\"kind\": \"cpu\"}]}",
+                "unknown key \"nmae\"",
+            ),
+            (
+                "{\"devices\": [{\"kind\": \"cpu\"}, {\"kind\": \"gpu\", \"link\": \
+                 {\"latency_us\": 5.0, \"bw_gbs\": 8.0, \"bw\": 1.0}}]}",
+                "devices[1].link: unknown key \"bw\"",
+            ),
         ];
         for (text, needle) in cases {
             std::fs::write(&bad, text).unwrap();

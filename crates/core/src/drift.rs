@@ -61,13 +61,13 @@ use crate::threshold_cache::ThresholdCache;
 /// in-place rebuild plus cold search.
 ///
 /// This was the default policy before the adaptive crossover landed and
-/// remains the fixed-policy baseline `bench_drift` compares against.
-/// Measured with `bench_drift`: at the 0.1% and 1% delta fractions the
-/// patched path wins by well over the gated 5×, while at 10% the widened
-/// spans (SpGEMM's A×A coupling spreads edits across referencing rows)
-/// already cover a large share of the input and the patch's tail-shift
-/// passes stop paying for themselves well before half the input is
-/// touched.
+/// remains the fixed-policy baseline the `drift` section of the `gates`
+/// runner compares against. Measured there: at the 0.1% and 1% delta
+/// fractions the patched path wins by well over the gated 5×, while at
+/// 10% the widened spans (SpGEMM's A×A coupling spreads edits across
+/// referencing rows) already cover a large share of the input and the
+/// patch's tail-shift passes stop paying for themselves well before half
+/// the input is touched.
 pub const PATCH_CROSSOVER_FRACTION: f64 = 0.25;
 
 /// EWMA smoothing factor for the adaptive crossover's work observations.

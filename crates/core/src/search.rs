@@ -810,8 +810,9 @@ fn cold_minima<M: TotalFn + ?Sized>(memo: &mut M, lo: usize, hi: usize) -> Vec<u
 /// analytic search and every [`minimize_partition`] coordinate: one
 /// candidate per distinct split the step-grid reaches, keeping the lowest
 /// threshold naming each split (the exhaustive tie-break prefers it on the
-/// flat stretch they share). Public so exhaustive baselines (`bench_eval`'s
-/// k-way gate) can enumerate exactly the grid the searches optimize over.
+/// flat stretch they share). Public so exhaustive baselines (the `eval`
+/// section's k-way gates in `nbwp-bench`'s `gates` runner) can enumerate
+/// exactly the grid the searches optimize over.
 #[must_use]
 pub fn candidate_splits(
     curve: &dyn CurveEval,

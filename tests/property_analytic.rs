@@ -47,8 +47,9 @@ fn check_analytic(name: &str, w: &impl Profilable) {
     assert_eq!(ana.best_time, exh.best_time, "{}", name);
     // O(log 1/eps): a handful of final candidates regardless of input size
     // (the >= 5x advantage over a full-budget numeric descent is gated at
-    // bench scale in bench_eval; tiny random inputs let the numeric descent
-    // dedup below its budget, so here we assert the absolute bound).
+    // bench scale by the `gates` runner's eval section; tiny random inputs
+    // let the numeric descent dedup below its budget, so here we assert
+    // the absolute bound).
     assert!(
         ana.evaluations() <= 6 && ana.evaluations() < gd.evaluations(),
         "{}: analytic {} evals vs gradient descent {}",
