@@ -239,7 +239,7 @@ where
                 None,
             )
             .expect("the canonical pair prices every curve");
-            let served = curve.total_at(curve.split_for(space.clamp(step.threshold)));
+            let served = curve.total_at(curve.split_for(space.clamp(step.cuts[0])));
             let regret = if cold.total.as_secs() > 0.0 {
                 (served.as_secs() / cold.total.as_secs() - 1.0) * 100.0
             } else {

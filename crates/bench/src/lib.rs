@@ -207,8 +207,8 @@ pub fn hh_suite(opts: &Opts) -> Vec<(&'static str, HhWorkload)> {
 /// Runs a full figure panel: per-dataset method comparison plus the
 /// NaiveAverage second pass.
 #[must_use]
-pub fn run_panel<W: Sampleable>(
-    suite: &[(&'static str, W)],
+pub fn run_panel<S: AsRef<str> + Sync, W: Sampleable>(
+    suite: &[(S, W)],
     config: &ExperimentConfig,
 ) -> Vec<ExperimentRow> {
     eprintln!(
@@ -218,27 +218,8 @@ pub fn run_panel<W: Sampleable>(
     );
     let mut rows: Vec<ExperimentRow> = run_corpus(suite, config);
     let workloads: Vec<&W> = suite.iter().map(|(_, w)| w).collect();
-    fill_naive_average_ref(&mut rows, &workloads);
+    fill_naive_average(&mut rows, &workloads);
     rows
-}
-
-/// `fill_naive_average` over references (the suites own their workloads).
-fn fill_naive_average_ref<W: PartitionedWorkload>(rows: &mut [ExperimentRow], workloads: &[&W]) {
-    if rows.is_empty() {
-        return;
-    }
-    let log_space = workloads[0].space().logarithmic;
-    let avg = if log_space {
-        let s: f64 = rows.iter().map(|r| r.exhaustive_t.max(1e-9).ln()).sum();
-        (s / rows.len() as f64).exp()
-    } else {
-        naive_average(&rows.iter().map(|r| r.exhaustive_t).collect::<Vec<_>>())
-    };
-    for (row, w) in rows.iter_mut().zip(workloads) {
-        let t = w.space().clamp(avg);
-        row.naive_average_t = Some(t);
-        row.time_naive_average_ms = Some(w.time_at(t).as_millis());
-    }
 }
 
 #[cfg(test)]

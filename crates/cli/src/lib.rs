@@ -76,55 +76,8 @@ pub enum Command {
         /// Output path.
         out: String,
     },
-    /// Estimate a threshold for a Matrix Market input.
-    Estimate {
-        /// Case study: "cc", "spmm", or "hh".
-        workload: String,
-        /// Input path (exactly one of `input` / `batch`).
-        input: Option<String>,
-        /// Batch request file: one Matrix Market path per line (blank lines
-        /// and `#` comments skipped). Served through
-        /// `Estimator::run_batch` behind a shared threshold cache.
-        batch: Option<String>,
-        /// Capacity of the threshold cache used in batch mode (default
-        /// [`ThresholdCache::default`]'s).
-        cache_size: Option<usize>,
-        /// Sampling seed.
-        seed: u64,
-        /// Compare against the exhaustive best (slower).
-        exhaustive: bool,
-        /// Identify strategy by name (`exhaustive`, `coarse_to_fine`,
-        /// `race_then_fine`, `gradient_descent`, `analytic`); `None` picks
-        /// the per-workload default.
-        strategy: Option<String>,
-        /// Shorthand for `--strategy analytic` (subgradient descent on the
-        /// profiled cost curve).
-        analytic: bool,
-        /// Write a trace of the estimation pipeline to this path (Chrome
-        /// trace-event JSON, or JSONL when the path ends in `.jsonl`).
-        trace_out: Option<String>,
-        /// Print the metrics / summary view to stdout.
-        metrics: bool,
-        /// Write a machine-readable metrics snapshot to this path
-        /// (Prometheus text exposition when the path ends in `.prom`,
-        /// versioned JSON otherwise).
-        metrics_out: Option<String>,
-        /// Record every served request in a flight recorder and dump the
-        /// audit log (JSONL) to this path.
-        audit_out: Option<String>,
-        /// Replay a JSONL delta script against `--input` through the
-        /// incremental drift server, printing one decision line per step
-        /// (patched / nudged / rebuilt, probes saved, staleness regret).
-        drift: Option<String>,
-        /// Device topology: a preset name (`cpu-gpu`, `dual-cpu-dual-gpu`,
-        /// `quad-cpu-quad-gpu`) or a `.json` topology file with per-link
-        /// transfer models. The canonical pair keeps the scalar pipeline
-        /// (it only widens the cache key); larger sets run the k-way
-        /// analytic partition search — per-device work fractions on a
-        /// single `--input`, partition-aware cache serving with `--batch`,
-        /// and warm cut-vector serving with `--drift`.
-        devices: Option<Box<DeviceSet>>,
-    },
+    /// Estimate a threshold (or a k-way partition) for Matrix Market input.
+    Estimate(EstimateRequest),
     /// Validate a captured artifact: a Chrome trace from `--trace-out`, an
     /// audit JSONL log from `--audit-out`, or a `.prom` metrics export from
     /// `--metrics-out`.
@@ -141,6 +94,120 @@ pub enum Command {
         /// Optional metrics snapshot (`.prom` or JSON) to fold in.
         metrics: Option<String>,
     },
+}
+
+/// A case study `nbwp estimate` serves. Its paper configuration — the
+/// default Identify strategy and the exhaustive reference step — is
+/// [`ExperimentConfig`]'s; only the name and the threshold unit live here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workload {
+    /// Hybrid connected components (§III): `cc`.
+    Cc,
+    /// Hybrid sparse matrix-matrix multiply (§IV): `spmm`.
+    Spmm,
+    /// Scale-free spmm, heavy rows split by density (§V): `hh`.
+    Hh,
+}
+
+impl Workload {
+    fn name(self) -> &'static str {
+        match self {
+            Workload::Cc => "cc",
+            Workload::Spmm => "spmm",
+            Workload::Hh => "hh",
+        }
+    }
+
+    /// What the scalar threshold measures.
+    fn unit(self) -> &'static str {
+        match self {
+            Workload::Cc => "CPU vertex share %",
+            Workload::Spmm => "CPU work share %",
+            Workload::Hh => "row-density threshold",
+        }
+    }
+
+    fn config(self, seed: u64) -> ExperimentConfig {
+        match self {
+            Workload::Cc => ExperimentConfig::cc(seed),
+            Workload::Spmm => ExperimentConfig::spmm(seed),
+            Workload::Hh => ExperimentConfig::scalefree(seed),
+        }
+    }
+}
+
+/// A parsed `nbwp estimate` request. [`parse_args`] validates the flags
+/// and resolves the strategy once; a combination it rejects has no value
+/// of this type.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EstimateRequest {
+    /// Case study.
+    pub workload: Workload,
+    /// Identify strategy: `--strategy <name>` or `--analytic` (subgradient
+    /// descent on the profiled cost curve), else the workload's paper
+    /// default; always analytic with a k-way `devices` set. A drift replay
+    /// does not read it: the drift server runs its own curve search.
+    pub strategy: Strategy,
+    /// Sampling seed.
+    pub seed: u64,
+    /// The k-way topology of `--devices` (a preset name or a `.json`
+    /// topology file with per-link transfer models); `None` on the
+    /// canonical CPU+GPU pair, the topology every serving path assumes by
+    /// default. A k-way set runs the analytic partition search: per-device
+    /// work fractions on one `--input`, partition-aware cache serving with
+    /// `--batch`, and warm cut-vector serving with `--drift`.
+    pub devices: Option<DeviceSet>,
+    /// What is served.
+    pub source: Source,
+    /// Where the observability artifacts go.
+    pub sinks: Sinks,
+}
+
+/// The input side of an [`EstimateRequest`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Source {
+    /// `--input`: one cold estimate.
+    Input {
+        /// Matrix Market path.
+        path: String,
+        /// `--exhaustive`: compare against the exhaustive best (slower).
+        exhaustive: bool,
+    },
+    /// `--batch`: one Matrix Market path per line (blank lines and `#`
+    /// comments skipped), served behind one shared threshold cache.
+    Batch {
+        /// Request file path.
+        path: String,
+        /// `--cache-size`: capacity of the threshold cache (default
+        /// [`ThresholdCache::default`]'s).
+        cache_size: Option<usize>,
+    },
+    /// `--input` with `--drift`: replay a JSONL delta script against the
+    /// input through the incremental drift server, one decision line per
+    /// step (patched / nudged / rebuilt, probes saved, staleness regret).
+    Drift {
+        /// Matrix Market path.
+        input: String,
+        /// Delta script path.
+        script: String,
+    },
+}
+
+/// Where `estimate` routes its observability artifacts.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sinks {
+    /// `--trace-out`: a trace of the estimation pipeline (Chrome
+    /// trace-event JSON, or JSONL when the path ends in `.jsonl`).
+    pub trace_out: Option<String>,
+    /// `--metrics`: print the metrics / summary view to stdout.
+    pub metrics: bool,
+    /// `--metrics-out`: a machine-readable metrics snapshot (Prometheus
+    /// text exposition when the path ends in `.prom`, versioned JSON
+    /// otherwise).
+    pub metrics_out: Option<String>,
+    /// `--audit-out`: record every served request in a flight recorder and
+    /// dump the audit log (JSONL) here.
+    pub audit_out: Option<String>,
 }
 
 /// Parses an argument vector (without the program name).
@@ -174,28 +241,24 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "estimate" => {
-            let workload = it
-                .next()
-                .ok_or_else(|| err("estimate requires a workload: cc | spmm | hh"))?
-                .clone();
-            if !matches!(workload.as_str(), "cc" | "spmm" | "hh") {
-                return Err(err(format!(
-                    "unknown workload {workload}; use cc | spmm | hh"
-                )));
-            }
-            let mut input = None;
-            let mut batch = None;
-            let mut cache_size = None;
-            let mut seed = 42;
-            let mut exhaustive = false;
-            let mut strategy = None;
-            let mut analytic = false;
-            let mut trace_out = None;
-            let mut metrics = false;
-            let mut metrics_out = None;
-            let mut audit_out = None;
-            let mut drift = None;
+            let workload = match it.next().map(String::as_str) {
+                None => return Err(err("estimate requires a workload: cc | spmm | hh")),
+                Some("cc") => Workload::Cc,
+                Some("spmm") => Workload::Spmm,
+                Some("hh") => Workload::Hh,
+                Some(other) => {
+                    return Err(err(format!("unknown workload {other}; use cc | spmm | hh")))
+                }
+            };
+            let (mut input, mut batch, mut cache_size, mut drift) = (None, None, None, None);
+            let (mut seed, mut exhaustive, mut strategy, mut analytic) = (42, false, None, false);
             let mut devices = None;
+            let mut sinks = Sinks {
+                trace_out: None,
+                metrics: false,
+                metrics_out: None,
+                audit_out: None,
+            };
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--input" => input = Some(next_val(&mut it, flag)?),
@@ -205,10 +268,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     "--exhaustive" => exhaustive = true,
                     "--strategy" => strategy = Some(next_val(&mut it, flag)?),
                     "--analytic" => analytic = true,
-                    "--trace-out" => trace_out = Some(next_val(&mut it, flag)?),
-                    "--metrics" => metrics = true,
-                    "--metrics-out" => metrics_out = Some(next_val(&mut it, flag)?),
-                    "--audit-out" => audit_out = Some(next_val(&mut it, flag)?),
+                    "--trace-out" => sinks.trace_out = Some(next_val(&mut it, flag)?),
+                    "--metrics" => sinks.metrics = true,
+                    "--metrics-out" => sinks.metrics_out = Some(next_val(&mut it, flag)?),
+                    "--audit-out" => sinks.audit_out = Some(next_val(&mut it, flag)?),
                     "--drift" => drift = Some(next_val(&mut it, flag)?),
                     "--devices" => {
                         let name = next_val(&mut it, flag)?;
@@ -222,48 +285,57 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                             name.parse::<DeviceSet>().map_err(|e| e.to_string())
                         }
                         .map_err(|e| err(format!("argument {pos} (--devices): {e}\n{USAGE}")))?;
-                        devices = Some(Box::new(set));
+                        devices = Some(set).filter(|s| !s.is_canonical_pair());
                     }
                     other => return Err(err(format!("unknown flag {other}\n{USAGE}"))),
                 }
             }
-            if input.is_some() == batch.is_some() {
-                return Err(err("estimate requires exactly one of --input or --batch"));
-            }
-            if cache_size.is_some() && batch.is_none() {
-                return Err(err("--cache-size requires --batch"));
-            }
-            if exhaustive && batch.is_some() {
-                return Err(err("--exhaustive applies to a single --input"));
-            }
-            if drift.is_some() && batch.is_some() {
-                return Err(err("--drift replays against a single --input"));
-            }
-            if drift.is_some() && (exhaustive || strategy.is_some() || analytic) {
-                return Err(err("--drift serves through the incremental drift server; \
-                     it takes no --exhaustive/--strategy/--analytic"));
-            }
-            if exhaustive && devices.as_ref().is_some_and(|s| !s.is_canonical_pair()) {
-                return Err(err(
-                    "--exhaustive sweeps the scalar threshold; it takes no k-way --devices",
-                ));
-            }
-            Ok(Command::Estimate {
+            let source = match (input, batch) {
+                (Some(path), None) => {
+                    if cache_size.is_some() {
+                        return Err(err("--cache-size requires --batch"));
+                    }
+                    match drift {
+                        Some(script) => {
+                            if exhaustive || strategy.is_some() || analytic {
+                                return Err(err("--drift serves through the incremental drift \
+                                     server; it takes no --exhaustive/--strategy/--analytic"));
+                            }
+                            Source::Drift {
+                                input: path,
+                                script,
+                            }
+                        }
+                        None if exhaustive && devices.is_some() => return Err(err(
+                            "--exhaustive sweeps the scalar threshold; it takes no k-way --devices",
+                        )),
+                        None => Source::Input { path, exhaustive },
+                    }
+                }
+                (None, Some(path)) => {
+                    if exhaustive {
+                        return Err(err("--exhaustive applies to a single --input"));
+                    }
+                    if drift.is_some() {
+                        return Err(err("--drift replays against a single --input"));
+                    }
+                    Source::Batch { path, cache_size }
+                }
+                _ => return Err(err("estimate requires exactly one of --input or --batch")),
+            };
+            let kway = match source {
+                Source::Drift { .. } => None,
+                _ => devices.as_ref(),
+            };
+            let strategy = resolve_strategy(workload, seed, strategy.as_deref(), analytic, kway)?;
+            Ok(Command::Estimate(EstimateRequest {
                 workload,
-                input,
-                batch,
-                cache_size,
-                seed,
-                exhaustive,
                 strategy,
-                analytic,
-                trace_out,
-                metrics,
-                metrics_out,
-                audit_out,
-                drift,
+                seed,
                 devices,
-            })
+                source,
+                sinks,
+            }))
         }
         "trace" => {
             let input = it
@@ -434,70 +506,13 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             seed,
             out,
         } => gen_dataset(dataset, *scale, *seed, out),
-        Command::Estimate {
-            workload,
-            input,
-            batch,
-            cache_size,
-            seed,
-            exhaustive,
-            strategy,
-            analytic,
-            trace_out,
-            metrics,
-            metrics_out,
-            audit_out,
-            drift,
-            devices,
-        } => {
-            let sinks = Sinks {
-                trace_out: trace_out.as_deref(),
-                metrics: *metrics,
-                metrics_out: metrics_out.as_deref(),
-                audit_out: audit_out.as_deref(),
-            };
-            match (input, batch) {
-                (Some(input), None) => match drift {
-                    Some(ops) => drift_cmd(workload, input, ops, devices.as_deref(), &sinks),
-                    None => estimate_cmd(
-                        workload,
-                        input,
-                        *seed,
-                        *exhaustive,
-                        strategy.as_deref(),
-                        *analytic,
-                        devices.as_deref(),
-                        &sinks,
-                    ),
-                },
-                (None, Some(batch)) => batch_cmd(
-                    workload,
-                    batch,
-                    *cache_size,
-                    *seed,
-                    strategy.as_deref(),
-                    *analytic,
-                    devices.as_deref(),
-                    &sinks,
-                ),
-                _ => Err(err("estimate requires exactly one of --input or --batch")),
-            }
-        }
+        Command::Estimate(req) => estimate_cmd(req),
         Command::Trace { input } => trace_cmd(input),
         Command::Report { audit, metrics } => report_cmd(audit, metrics.as_deref()),
     }
 }
 
-/// Where `estimate` routes its observability artifacts (shared by the
-/// single-input and batch paths).
-struct Sinks<'a> {
-    trace_out: Option<&'a str>,
-    metrics: bool,
-    metrics_out: Option<&'a str>,
-    audit_out: Option<&'a str>,
-}
-
-impl Sinks<'_> {
+impl Sinks {
     /// A span recorder is needed whenever anything reads its trace/metrics.
     fn recorder(&self) -> Recorder {
         if self.trace_out.is_some() || self.metrics || self.metrics_out.is_some() {
@@ -529,7 +544,7 @@ impl Sinks<'_> {
             out.push('\n');
             out.push_str(&trace.summary(60));
         }
-        if let Some(path) = self.trace_out {
+        if let Some(path) = &self.trace_out {
             let text = if path.ends_with(".jsonl") {
                 trace.to_jsonl()
             } else {
@@ -539,7 +554,7 @@ impl Sinks<'_> {
                 .map_err(|e| err(format!("cannot write trace to {path}: {e}")))?;
             let _ = writeln!(out, "wrote trace ({} spans) to {path}", trace.spans.len());
         }
-        if let Some(path) = self.metrics_out {
+        if let Some(path) = &self.metrics_out {
             let text = if path.ends_with(".prom") {
                 nbwp_trace::prometheus_text(&trace.metrics)
             } else {
@@ -554,7 +569,7 @@ impl Sinks<'_> {
                 trace.metrics.histograms.len()
             );
         }
-        if let Some(path) = self.audit_out {
+        if let Some(path) = &self.audit_out {
             std::fs::write(Path::new(path), audit.to_jsonl())
                 .map_err(|e| err(format!("cannot write audit log to {path}: {e}")))?;
             let _ = writeln!(
@@ -625,80 +640,31 @@ fn load_square(path: &str) -> Result<Csr, CliError> {
     Ok(a)
 }
 
-/// Resolves the Identify strategy for a workload from the CLI flags:
-/// `--analytic` and `--strategy <name>` override the per-workload default
-/// (cc → coarse-to-fine, spmm → race-then-fine, hh → gradient descent).
+/// Resolves a request's Identify strategy: `--analytic` and `--strategy
+/// <name>` override the workload's paper default. A k-way set routes
+/// through the analytic partition search, which prices bands off the cost
+/// curve: an explicit non-analytic strategy conflicts with it, and hh —
+/// partitioned by a density predicate, not by contiguous spans — cannot
+/// take it at all.
 fn resolve_strategy(
-    workload: &str,
+    workload: Workload,
+    seed: u64,
     strategy: Option<&str>,
     analytic: bool,
+    kway: Option<&DeviceSet>,
 ) -> Result<Strategy, CliError> {
     if analytic && strategy.is_some() {
         return Err(err("--analytic and --strategy are mutually exclusive"));
     }
-    if analytic {
-        return Ok(Strategy::Analytic { step: None });
-    }
-    match strategy {
+    let resolved = match strategy {
+        _ if analytic => Strategy::Analytic { step: None },
         Some(name) => name
             .parse::<Strategy>()
-            .map_err(|e| err(format!("{e}\n{USAGE}"))),
-        None => Ok(match workload {
-            "cc" => Strategy::CoarseToFine,
-            "spmm" => Strategy::RaceThenFine,
-            _ => Strategy::GradientDescent {
-                max_evals: DEFAULT_GRADIENT_EVALS,
-            },
-        }),
-    }
-}
-
-/// Runs the estimator through the serving path (`run_cached`; no cache
-/// attached, so it runs cold), routing [`Strategy::Analytic`] through the
-/// profiled pipeline it requires (subgradients come off the cost-curve
-/// profile). An enabled flight recorder records one audit event; the
-/// estimate is identical either way.
-fn run_estimator<W>(
-    w: &W,
-    strategy: Strategy,
-    seed: u64,
-    devices: Option<&DeviceSet>,
-    rec: &Recorder,
-    audit: &FlightRecorder,
-) -> SamplingEstimate
-where
-    W: Sampleable + Fingerprinted,
-    W::Sample: Profilable,
-{
-    let mut e = Estimator::new(strategy)
-        .seed(seed)
-        .recorder(rec)
-        .audit(audit);
-    if let Some(set) = devices {
-        e = e.devices(set);
-    }
-    if matches!(strategy, Strategy::Analytic { .. }) {
-        e.profiled().run_cached(w)
-    } else {
-        e.run_cached(w)
-    }
-}
-
-/// Resolves the strategy of an `estimate` request against its device
-/// set. A k-way set (anything but the canonical pair, returned as the
-/// second element) routes through the analytic partition search, which
-/// prices bands off the cost curve: an explicit non-analytic strategy
-/// conflicts with it, and hh — partitioned by a density predicate, not
-/// by contiguous spans — cannot take it at all.
-fn resolve_request<'d>(
-    workload: &str,
-    strategy: Option<&str>,
-    analytic: bool,
-    devices: Option<&'d DeviceSet>,
-) -> Result<(Strategy, Option<&'d DeviceSet>), CliError> {
-    let resolved = resolve_strategy(workload, strategy, analytic)?;
-    let Some(set) = devices.filter(|s| !s.is_canonical_pair()) else {
-        return Ok((resolved, None));
+            .map_err(|e| err(format!("{e}\n{USAGE}")))?,
+        None => workload.config(seed).strategy,
+    };
+    let Some(set) = kway else {
+        return Ok(resolved);
     };
     if strategy.is_some() && !matches!(resolved, Strategy::Analytic { .. }) {
         return Err(err(format!(
@@ -707,343 +673,236 @@ fn resolve_request<'d>(
             set.name()
         )));
     }
-    if workload == "hh" {
+    if workload == Workload::Hh {
         return Err(err(format!(
             "hh partitions rows by a density predicate, not by contiguous \
              spans; --devices {} supports cc | spmm",
             set.name()
         )));
     }
-    Ok((Strategy::Analytic { step: None }, Some(set)))
+    Ok(Strategy::Analytic { step: None })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn estimate_cmd(
-    workload: &str,
-    input: &str,
-    seed: u64,
-    exhaustive: bool,
-    strategy: Option<&str>,
-    analytic: bool,
-    devices: Option<&DeviceSet>,
-    sinks: &Sinks<'_>,
-) -> Result<String, CliError> {
-    let a = load_square(input)?;
-    let (strategy, kway) = resolve_request(workload, strategy, analytic, devices)?;
-    let platform = Platform::k40c_xeon_e5_2650();
-    let rec = sinks.recorder();
-    let audit = sinks.flight_recorder();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{input}: {} rows, {} nonzeros — {} ({}) on the simulated K40c + Xeon",
-        a.rows(),
-        a.nnz(),
-        workload,
-        strategy.name()
-    );
-    match (workload, kway) {
-        ("cc", Some(set)) => {
-            let w = CcWorkload::new(Graph::from_matrix(&a), platform);
-            report_partition(&mut out, &w, set, seed, &rec, &audit);
+/// `estimate`: loads the inputs, builds the workloads, and serves them
+/// through [`serve`]; a drift replay goes to [`drift_cmd`].
+fn estimate_cmd(req: &EstimateRequest) -> Result<String, CliError> {
+    let (paths, batch) = match &req.source {
+        Source::Input { path, .. } => (vec![path.clone()], None),
+        Source::Batch { path, .. } => {
+            let text = std::fs::read_to_string(Path::new(path))
+                .map_err(|e| err(format!("cannot read {path}: {e}")))?;
+            let paths: Vec<String> = text
+                .lines()
+                .map(str::trim)
+                .filter(|l| !l.is_empty() && !l.starts_with('#'))
+                .map(String::from)
+                .collect();
+            if paths.is_empty() {
+                return Err(err(format!("{path} lists no inputs")));
+            }
+            (paths, Some(path))
         }
-        ("spmm", Some(set)) => {
-            let w = SpmmWorkload::new(a, platform);
-            report_partition(&mut out, &w, set, seed, &rec, &audit);
-        }
-        ("cc", None) => {
-            let w = CcWorkload::new(Graph::from_matrix(&a), platform);
-            let est = run_estimator(&w, strategy, seed, devices, &rec, &audit);
-            report_scalar(&mut out, &w, &est, "CPU vertex share %", exhaustive, &rec);
-        }
-        ("spmm", None) => {
-            let w = SpmmWorkload::new(a, platform);
-            let est = run_estimator(&w, strategy, seed, devices, &rec, &audit);
-            report_scalar(&mut out, &w, &est, "CPU work share %", exhaustive, &rec);
-        }
-        ("hh", None) => {
-            let w = HhWorkload::new(a, platform);
-            let est = run_estimator(&w, strategy, seed, devices, &rec, &audit);
-            report_scalar(
-                &mut out,
-                &w,
-                &est,
-                "row-density threshold",
-                exhaustive,
-                &rec,
-            );
-        }
-        (other, _) => return Err(err(format!("unknown workload {other}"))),
-    }
-    audit.flush_metrics(&rec);
-    let trace = rec.finish();
-    sinks.write(&mut out, &trace, &audit)?;
-    Ok(out)
-}
-
-/// Runs the k-way analytic partition search over the full input through
-/// the partition serving path (`run_partition_cached`; no cache attached,
-/// so it runs cold) and appends the cut vector plus one work-fraction row
-/// per device. The fractions are also exported as `partition.fraction.d<i>`
-/// gauges, which `nbwp report --metrics` renders as a dedicated row. An
-/// enabled flight recorder records one arity-`k` audit event; the
-/// partition is identical either way.
-fn report_partition<W: Profilable + Fingerprinted>(
-    out: &mut String,
-    w: &W,
-    set: &DeviceSet,
-    seed: u64,
-    rec: &Recorder,
-    audit: &FlightRecorder,
-) {
-    let o = Estimator::new(Strategy::Analytic { step: None })
-        .seed(seed)
-        .recorder(rec)
-        .audit(audit)
-        .devices(set)
-        .profiled()
-        .run_partition_cached(w);
-    let _ = writeln!(
-        out,
-        "k-way partition over {} (k = {}): predicted total {}\n  cut thresholds [{}] — {} curve probes, {} descent sweeps",
-        set.name(),
-        set.len(),
-        o.total,
-        fmt_cuts(&o.cuts),
-        o.probes,
-        o.sweeps
-    );
-    for (i, (d, f)) in set.devices().iter().zip(&o.fractions).enumerate() {
-        let kind = match d.kind {
-            DeviceKind::Cpu => "cpu",
-            DeviceKind::Gpu => "gpu",
-        };
-        let _ = writeln!(
-            out,
-            "  device {i} ({kind} ×{:.2}): {:.1}% of the work",
-            d.speed,
-            f * 100.0
-        );
-        rec.gauge_set(&format!("partition.fraction.d{i}"), f * 100.0);
-    }
-}
-
-/// Serves every workload in `ws` through [`Estimator::run_batch`] behind
-/// `cache`, appending one line per request plus the cache totals.
-#[allow(clippy::too_many_arguments)]
-fn serve_batch<W>(
-    out: &mut String,
-    paths: &[String],
-    ws: &[W],
-    strategy: Strategy,
-    seed: u64,
-    devices: Option<&DeviceSet>,
-    cache: &ThresholdCache,
-    rec: &Recorder,
-    audit: &FlightRecorder,
-    unit: &str,
-) where
-    W: Sampleable + Fingerprinted,
-    W::Sample: Profilable,
-{
-    // No recorder on the estimator: `run_batch` would flush (reset) the
-    // cache counters into it before the summary below reads them. The
-    // totals are read first, then flushed to the metrics view by hand.
-    let mut e = Estimator::new(strategy)
-        .seed(seed)
-        .cache(cache)
-        .audit(audit);
-    if let Some(set) = devices {
-        e = e.devices(set);
-    }
-    let ests = if matches!(strategy, Strategy::Analytic { .. }) {
-        e.profiled().run_batch(ws)
-    } else {
-        e.run_batch(ws)
+        Source::Drift { input, script } => return drift_cmd(req, input, script),
     };
-    for (path, est) in paths.iter().zip(&ests) {
-        let _ = writeln!(
-            out,
-            "{path}: threshold {:.1} ({unit}), sample size {}, estimation cost {}",
-            est.threshold, est.sample_size, est.overhead
-        );
-    }
-    // Duplicates inside one batch are deduped by fingerprint before the
-    // cache is consulted, so they never show up in the hit/miss counters.
-    let st = cache.stats();
-    let served = st.exact_hits + st.near_hits + st.misses;
-    let _ = writeln!(
-        out,
-        "cache: {} exact hits, {} warm starts, {} misses; {} of {} requests deduped in-batch",
-        st.exact_hits,
-        st.near_hits,
-        st.misses,
-        paths.len() as u64 - served,
-        paths.len()
-    );
-    cache.flush_metrics(rec);
-    audit.flush_metrics(rec);
-}
-
-/// Serves every workload in `ws` through the partition-aware cache
-/// (`run_partition_cached`) against a k-way device set, appending one cut
-/// vector per request plus the k-way cache totals. Unlike the scalar
-/// batch path there is no in-batch dedup: repeated inputs hit the cache
-/// as exact partition hits and return the stored cut vector bitwise.
-#[allow(clippy::too_many_arguments)]
-fn serve_batch_kway<W>(
-    out: &mut String,
-    paths: &[String],
-    ws: &[W],
-    set: &DeviceSet,
-    seed: u64,
-    cache: &ThresholdCache,
-    rec: &Recorder,
-    audit: &FlightRecorder,
-) where
-    W: Profilable + Fingerprinted,
-{
-    let served = Estimator::new(Strategy::Analytic { step: None })
-        .seed(seed)
-        .cache(cache)
-        .audit(audit)
-        .devices(set)
-        .profiled();
-    for (path, w) in paths.iter().zip(ws) {
-        let o = served.run_partition_cached(w);
-        let _ = writeln!(
-            out,
-            "{path}: cuts [{}] (k = {}), predicted total {}, {} curve probes",
-            fmt_cuts(&o.cuts),
-            set.len(),
-            o.total,
-            o.probes
-        );
-    }
-    let st = cache.stats();
-    let _ = writeln!(
-        out,
-        "cache: {} k-way exact hits, {} warm starts, {} misses; {} probes saved",
-        st.kway_exact_hits, st.kway_near_hits, st.kway_misses, st.probes_saved
-    );
-    cache.flush_metrics(rec);
-    audit.flush_metrics(rec);
-}
-
-/// `estimate --batch`: one Matrix Market path per line, served through the
-/// fingerprint-deduped batch path with a shared threshold cache.
-#[allow(clippy::too_many_arguments)]
-fn batch_cmd(
-    workload: &str,
-    batch: &str,
-    cache_size: Option<usize>,
-    seed: u64,
-    strategy: Option<&str>,
-    analytic: bool,
-    devices: Option<&DeviceSet>,
-    sinks: &Sinks<'_>,
-) -> Result<String, CliError> {
-    let text = std::fs::read_to_string(Path::new(batch))
-        .map_err(|e| err(format!("cannot read {batch}: {e}")))?;
-    let paths: Vec<String> = text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(String::from)
-        .collect();
-    if paths.is_empty() {
-        return Err(err(format!("{batch} lists no inputs")));
-    }
-    let (strategy, kway) = resolve_request(workload, strategy, analytic, devices)?;
-    let platform = Platform::k40c_xeon_e5_2650();
-    let cache = cache_size.map_or_else(ThresholdCache::default, ThresholdCache::new);
-    let rec = sinks.recorder();
-    let audit = sinks.flight_recorder();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{batch}: {} requests — {} ({}) on the simulated K40c + Xeon",
-        paths.len(),
-        workload,
-        strategy.name()
-    );
     let mats = paths
         .iter()
         .map(|p| load_square(p))
         .collect::<Result<Vec<_>, _>>()?;
-    match (workload, kway) {
-        ("cc", Some(set)) => {
-            let ws: Vec<CcWorkload> = mats
-                .into_iter()
+    let subject = match batch {
+        Some(batch) => format!("{batch}: {} requests", paths.len()),
+        None => format!(
+            "{}: {} rows, {} nonzeros",
+            paths[0],
+            mats[0].rows(),
+            mats[0].nnz()
+        ),
+    };
+    let out = format!(
+        "{subject} — {} ({}) on the simulated K40c + Xeon\n",
+        req.workload.name(),
+        req.strategy.name()
+    );
+    let platform = Platform::k40c_xeon_e5_2650();
+    let mats = mats.into_iter();
+    match req.workload {
+        Workload::Cc => {
+            let ws: Vec<_> = mats
                 .map(|a| CcWorkload::new(Graph::from_matrix(&a), platform))
                 .collect();
-            serve_batch_kway(&mut out, &paths, &ws, set, seed, &cache, &rec, &audit);
+            serve(req, &paths, &ws, out)
         }
-        ("spmm", Some(set)) => {
-            let ws: Vec<SpmmWorkload> = mats
-                .into_iter()
-                .map(|a| SpmmWorkload::new(a, platform))
-                .collect();
-            serve_batch_kway(&mut out, &paths, &ws, set, seed, &cache, &rec, &audit);
+        Workload::Spmm => {
+            let ws: Vec<_> = mats.map(|a| SpmmWorkload::new(a, platform)).collect();
+            serve(req, &paths, &ws, out)
         }
-        ("cc", None) => {
-            let ws: Vec<CcWorkload> = mats
-                .into_iter()
-                .map(|a| CcWorkload::new(Graph::from_matrix(&a), platform))
-                .collect();
-            serve_batch(
-                &mut out,
-                &paths,
-                &ws,
-                strategy,
-                seed,
-                devices,
-                &cache,
-                &rec,
-                &audit,
-                "CPU vertex share %",
-            );
+        Workload::Hh => {
+            let ws: Vec<_> = mats.map(|a| HhWorkload::new(a, platform)).collect();
+            serve(req, &paths, &ws, out)
         }
-        ("spmm", None) => {
-            let ws: Vec<SpmmWorkload> = mats
-                .into_iter()
-                .map(|a| SpmmWorkload::new(a, platform))
-                .collect();
-            serve_batch(
-                &mut out,
-                &paths,
-                &ws,
-                strategy,
-                seed,
-                devices,
-                &cache,
-                &rec,
-                &audit,
-                "CPU work share %",
-            );
-        }
-        ("hh", None) => {
-            let ws: Vec<HhWorkload> = mats
-                .into_iter()
-                .map(|a| HhWorkload::new(a, platform))
-                .collect();
-            serve_batch(
-                &mut out,
-                &paths,
-                &ws,
-                strategy,
-                seed,
-                devices,
-                &cache,
-                &rec,
-                &audit,
-                "row-density threshold",
-            );
-        }
-        (other, _) => return Err(err(format!("unknown workload {other}"))),
     }
+}
+
+/// Serves one decision per workload in `ws` (one per line of `paths`) and
+/// appends the report and the requested artifacts to `out`.
+///
+/// A single `--input` runs cold through the serving path with no cache
+/// attached — `run_cached`, or `run_partition_cached` on a k-way set —
+/// traced into the span recorder. A `--batch` runs `run_batch`, or
+/// per-request `run_partition_cached`, behind one shared
+/// [`ThresholdCache`]. [`Strategy::Analytic`] routes through the profiled
+/// pipeline it requires. An enabled flight recorder records one audit
+/// event per served request; results are identical either way.
+fn serve<W>(
+    req: &EstimateRequest,
+    paths: &[String],
+    ws: &[W],
+    mut out: String,
+) -> Result<String, CliError>
+where
+    W: Sampleable + Profilable + Fingerprinted,
+    W::Sample: Profilable,
+{
+    let rec = req.sinks.recorder();
+    let audit = req.sinks.flight_recorder();
+    let cache = match req.source {
+        Source::Batch { cache_size, .. } => {
+            Some(cache_size.map_or_else(ThresholdCache::default, ThresholdCache::new))
+        }
+        _ => None,
+    };
+    let mut e = Estimator::new(req.strategy).seed(req.seed).audit(&audit);
+    if let Some(set) = &req.devices {
+        e = e.devices(set);
+    }
+    // No recorder on a batch: `run_batch` would flush (reset) the cache
+    // counters into it before the summary below reads them. The totals are
+    // read first, then flushed to the metrics view by hand.
+    let e = match &cache {
+        Some(cache) => e.cache(cache),
+        None => e.recorder(&rec),
+    };
+    let analytic = matches!(req.strategy, Strategy::Analytic { .. });
+    match (&cache, &req.devices) {
+        (None, None) => {
+            let w = &ws[0];
+            let est = if analytic {
+                e.profiled().run_cached(w)
+            } else {
+                e.run_cached(w)
+            };
+            let _ = writeln!(
+                out,
+                "estimated threshold: {:.1} ({})\n  sample size {}, {} miniature runs, estimation cost {}",
+                est.threshold, req.workload.unit(), est.sample_size, est.evaluations, est.overhead
+            );
+            let time = w.time_at(est.threshold);
+            let _ = writeln!(out, "  run at estimated threshold: {time}");
+            if let Source::Input {
+                exhaustive: true, ..
+            } = req.source
+            {
+                let step = req.workload.config(req.seed).exhaustive_step;
+                let best = Searcher::new(Strategy::Exhaustive { step: Some(step) }).run(w);
+                rec.gauge_set("threshold.diff_pct", (est.threshold - best.best_t).abs());
+                let _ = writeln!(
+                    out,
+                    "  exhaustive best: {:.1} → {} ({} full runs; penalty of the estimate: {:.1}%)",
+                    best.best_t,
+                    best.best_time,
+                    best.evaluations(),
+                    time.pct_diff_from(best.best_time)
+                );
+            }
+        }
+        // The fractions are also exported as `partition.fraction.d<i>`
+        // gauges, which `nbwp report --metrics` renders as one row.
+        (None, Some(set)) => {
+            let o = e.profiled().run_partition_cached(&ws[0]);
+            let _ = writeln!(
+                out,
+                "k-way partition over {} (k = {}): predicted total {}\n  cut thresholds [{}] — {} curve probes, {} descent sweeps",
+                set.name(),
+                set.len(),
+                o.total,
+                fmt_cuts(&o.cuts),
+                o.probes,
+                o.sweeps
+            );
+            for (i, (d, f)) in set.devices().iter().zip(&o.fractions).enumerate() {
+                let kind = match d.kind {
+                    DeviceKind::Cpu => "cpu",
+                    DeviceKind::Gpu => "gpu",
+                };
+                let _ = writeln!(
+                    out,
+                    "  device {i} ({kind} ×{:.2}): {:.1}% of the work",
+                    d.speed,
+                    f * 100.0
+                );
+                rec.gauge_set(&format!("partition.fraction.d{i}"), f * 100.0);
+            }
+        }
+        (Some(cache), None) => {
+            let ests = if analytic {
+                e.profiled().run_batch(ws)
+            } else {
+                e.run_batch(ws)
+            };
+            for (path, est) in paths.iter().zip(&ests) {
+                let _ = writeln!(
+                    out,
+                    "{path}: threshold {:.1} ({}), sample size {}, estimation cost {}",
+                    est.threshold,
+                    req.workload.unit(),
+                    est.sample_size,
+                    est.overhead
+                );
+            }
+            // Duplicates inside one batch are deduped by fingerprint before
+            // the cache is consulted, so they never show up in the hit/miss
+            // counters.
+            let st = cache.stats();
+            let served = st.exact_hits + st.near_hits + st.misses;
+            let _ = writeln!(
+                out,
+                "cache: {} exact hits, {} warm starts, {} misses; {} of {} requests deduped in-batch",
+                st.exact_hits,
+                st.near_hits,
+                st.misses,
+                paths.len() as u64 - served,
+                paths.len()
+            );
+        }
+        // Unlike the scalar batch there is no in-batch dedup: repeated
+        // inputs hit the cache as exact partition hits and return the
+        // stored cut vector bitwise.
+        (Some(cache), Some(set)) => {
+            let served = e.profiled();
+            for (path, w) in paths.iter().zip(ws) {
+                let o = served.run_partition_cached(w);
+                let _ = writeln!(
+                    out,
+                    "{path}: cuts [{}] (k = {}), predicted total {}, {} curve probes",
+                    fmt_cuts(&o.cuts),
+                    set.len(),
+                    o.total,
+                    o.probes
+                );
+            }
+            let st = cache.stats();
+            let _ = writeln!(
+                out,
+                "cache: {} k-way exact hits, {} warm starts, {} misses; {} probes saved",
+                st.kway_exact_hits, st.kway_near_hits, st.kway_misses, st.probes_saved
+            );
+        }
+    }
+    if let Some(cache) = &cache {
+        cache.flush_metrics(&rec);
+    }
+    audit.flush_metrics(&rec);
     let trace = rec.finish();
-    sinks.write(&mut out, &trace, &audit)?;
+    req.sinks.write(&mut out, &trace, &audit)?;
     Ok(out)
 }
 
@@ -1060,22 +919,17 @@ fn batch_cmd(
 ///
 /// `{}` is a legal empty step. A line that is not an object, or carries
 /// any key outside these, fails with its line number.
-fn drift_cmd(
-    workload: &str,
-    input: &str,
-    ops: &str,
-    devices: Option<&DeviceSet>,
-    sinks: &Sinks<'_>,
-) -> Result<String, CliError> {
+fn drift_cmd(req: &EstimateRequest, input: &str, ops: &str) -> Result<String, CliError> {
     let a = load_square(input)?;
     let text = std::fs::read_to_string(Path::new(ops))
         .map_err(|e| err(format!("cannot read {ops}: {e}")))?;
     let platform = Platform::k40c_xeon_e5_2650();
-    let rec = sinks.recorder();
-    let audit = sinks.flight_recorder();
+    let rec = req.sinks.recorder();
+    let audit = req.sinks.flight_recorder();
     // The cache is the metrics sink for patched/nudged/rebuilt counters and
     // the shadow-regret histogram; the drift server bumps its generation.
     let cache = ThresholdCache::default();
+    let workload = req.workload.name();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1083,43 +937,27 @@ fn drift_cmd(
         a.rows(),
         a.nnz()
     );
-    match workload {
-        "cc" => {
+    match req.workload {
+        Workload::Cc => {
             let deltas = parse_graph_deltas(&text, a.rows())?;
             let w = CcWorkload::new(Graph::from_matrix(&a), platform);
-            replay_drift(
-                &mut out,
-                w,
-                &deltas,
-                devices,
-                &cache,
-                &audit,
-                "CPU vertex share %",
-            );
+            replay_drift(&mut out, w, &deltas, req, &cache, &audit);
         }
-        "spmm" => {
+        Workload::Spmm => {
             let deltas = parse_csr_deltas(&text, a.rows(), a.cols())?;
             let w = SpmmWorkload::new(a, platform);
-            replay_drift(
-                &mut out,
-                w,
-                &deltas,
-                devices,
-                &cache,
-                &audit,
-                "CPU work share %",
-            );
+            replay_drift(&mut out, w, &deltas, req, &cache, &audit);
         }
-        other => {
+        Workload::Hh => {
             return Err(err(format!(
-                "--drift supports cc | spmm (got {other}: hh has no delta form)"
+                "--drift supports cc | spmm (got {workload}: hh has no delta form)"
             )))
         }
     }
     cache.flush_metrics(&rec);
     audit.flush_metrics(&rec);
     let trace = rec.finish();
-    sinks.write(&mut out, &trace, &audit)?;
+    req.sinks.write(&mut out, &trace, &audit)?;
     Ok(out)
 }
 
@@ -1132,13 +970,12 @@ fn replay_drift<W: DriftWorkload>(
     out: &mut String,
     w: W,
     deltas: &[W::Delta],
-    devices: Option<&DeviceSet>,
+    req: &EstimateRequest,
     cache: &ThresholdCache,
     audit: &FlightRecorder,
-    unit: &str,
 ) {
     let mut server = DriftServer::new(w).with_cache(cache).with_audit(audit);
-    if let Some(set) = devices {
+    if let Some(set) = &req.devices {
         server = server.with_devices(set.clone());
     }
     let kway = server.devices().len() > 2;
@@ -1154,8 +991,9 @@ fn replay_drift<W: DriftWorkload>(
     } else {
         let _ = writeln!(
             out,
-            "base: threshold {:.1} ({unit}), predicted total {}",
-            server.threshold(),
+            "base: threshold {:.1} ({}), predicted total {}",
+            server.cuts()[0],
+            req.workload.unit(),
             server.total()
         );
     }
@@ -1164,7 +1002,7 @@ fn replay_drift<W: DriftWorkload>(
         let position = if kway {
             format!("cuts [{}]", fmt_cuts(&step.cuts))
         } else {
-            format!("threshold {:.1}", step.threshold)
+            format!("threshold {:.1}", step.cuts[0])
         };
         let _ = writeln!(
             out,
@@ -1691,45 +1529,25 @@ fn report_cmd(audit_path: &str, metrics_path: Option<&str>) -> Result<String, Cl
     Ok(out)
 }
 
-fn report_scalar<W: PartitionedWorkload>(
-    out: &mut String,
-    w: &W,
-    est: &SamplingEstimate,
-    unit: &str,
-    exhaustive: bool,
-    rec: &Recorder,
-) {
-    let _ = writeln!(
-        out,
-        "estimated threshold: {:.1} ({unit})\n  sample size {}, {} miniature runs, estimation cost {}",
-        est.threshold, est.sample_size, est.evaluations, est.overhead
-    );
-    let _ = writeln!(
-        out,
-        "  run at estimated threshold: {}",
-        w.time_at(est.threshold)
-    );
-    if exhaustive {
-        let step = if w.space().logarithmic { 1.15 } else { 1.0 };
-        let best = Searcher::new(Strategy::Exhaustive { step: Some(step) }).run(w);
-        rec.gauge_set("threshold.diff_pct", (est.threshold - best.best_t).abs());
-        let _ = writeln!(
-            out,
-            "  exhaustive best: {:.1} → {} ({} full runs; penalty of the estimate: {:.1}%)",
-            best.best_t,
-            best.best_time,
-            best.evaluations(),
-            w.time_at(est.threshold).pct_diff_from(best.best_time)
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    /// Parses and runs one command line.
+    fn exec(line: &str) -> Result<String, CliError> {
+        run(&parse_args(&args(line))?)
+    }
+
+    /// The request an `estimate …` line parses to.
+    fn request(line: &str) -> EstimateRequest {
+        match parse_args(&args(line)).unwrap() {
+            Command::Estimate(req) => req,
+            other => panic!("parsed {other:?}"),
+        }
     }
 
     #[test]
@@ -1748,47 +1566,34 @@ mod tests {
                 out: "/tmp/x.mtx".into()
             }
         );
-        let e = parse_args(&args("estimate spmm --input /tmp/x.mtx --exhaustive")).unwrap();
         assert_eq!(
-            e,
-            Command::Estimate {
-                workload: "spmm".into(),
-                input: Some("/tmp/x.mtx".into()),
-                batch: None,
-                cache_size: None,
+            request("estimate spmm --input /tmp/x.mtx --exhaustive"),
+            EstimateRequest {
+                workload: Workload::Spmm,
+                strategy: Strategy::RaceThenFine,
                 seed: 42,
-                exhaustive: true,
-                strategy: None,
-                analytic: false,
-                trace_out: None,
-                metrics: false,
-                metrics_out: None,
-                audit_out: None,
-                drift: None,
-                devices: None
+                devices: None,
+                source: Source::Input {
+                    path: "/tmp/x.mtx".into(),
+                    exhaustive: true
+                },
+                sinks: Sinks {
+                    trace_out: None,
+                    metrics: false,
+                    metrics_out: None,
+                    audit_out: None
+                },
             }
         );
-        let t = parse_args(&args(
-            "estimate cc --input x.mtx --trace-out t.json --metrics",
-        ))
-        .unwrap();
+        let t = request("estimate cc --input x.mtx --trace-out t.json --metrics --seed 7");
+        assert_eq!((t.workload, t.seed), (Workload::Cc, 7));
         assert_eq!(
-            t,
-            Command::Estimate {
-                workload: "cc".into(),
-                input: Some("x.mtx".into()),
-                batch: None,
-                cache_size: None,
-                seed: 42,
-                exhaustive: false,
-                strategy: None,
-                analytic: false,
+            t.sinks,
+            Sinks {
                 trace_out: Some("t.json".into()),
                 metrics: true,
                 metrics_out: None,
-                audit_out: None,
-                drift: None,
-                devices: None
+                audit_out: None
             }
         );
         assert_eq!(
@@ -1799,103 +1604,86 @@ mod tests {
         );
     }
 
+    /// The strategy is resolved once, at parse time: the workload's paper
+    /// default, a `--strategy` name, or `--analytic` (never both).
     #[test]
     fn parse_strategy_flags() {
-        let e = parse_args(&args(
-            "estimate cc --input x.mtx --strategy gradient_descent",
+        let gradient = Strategy::GradientDescent {
+            max_evals: DEFAULT_GRADIENT_EVALS,
+        };
+        let analytic = Strategy::Analytic { step: None };
+        for (line, strategy) in [
+            ("estimate cc --input x.mtx", Strategy::CoarseToFine),
+            ("estimate spmm --input x.mtx", Strategy::RaceThenFine),
+            ("estimate hh --batch b.txt", gradient),
+            (
+                "estimate cc --input x.mtx --strategy gradient_descent",
+                gradient,
+            ),
+            ("estimate cc --input x.mtx --strategy analytic", analytic),
+            ("estimate spmm --input x.mtx --analytic", analytic),
+        ] {
+            assert_eq!(request(line).strategy, strategy, "{line}");
+        }
+        let conflict = parse_args(&args(
+            "estimate cc --input x.mtx --strategy exhaustive --analytic",
         ))
-        .unwrap();
-        assert_eq!(
-            e,
-            Command::Estimate {
-                workload: "cc".into(),
-                input: Some("x.mtx".into()),
-                batch: None,
-                cache_size: None,
-                seed: 42,
-                exhaustive: false,
-                strategy: Some("gradient_descent".into()),
-                analytic: false,
-                trace_out: None,
-                metrics: false,
-                metrics_out: None,
-                audit_out: None,
-                drift: None,
-                devices: None
-            }
-        );
-        let a = parse_args(&args("estimate spmm --input x.mtx --analytic")).unwrap();
-        assert_eq!(
-            a,
-            Command::Estimate {
-                workload: "spmm".into(),
-                input: Some("x.mtx".into()),
-                batch: None,
-                cache_size: None,
-                seed: 42,
-                exhaustive: false,
-                strategy: None,
-                analytic: true,
-                trace_out: None,
-                metrics: false,
-                metrics_out: None,
-                audit_out: None,
-                drift: None,
-                devices: None
-            }
-        );
+        .unwrap_err();
+        assert!(conflict.0.contains("mutually exclusive"), "{}", conflict.0);
+        let unknown = parse_args(&args(
+            "estimate cc --input x.mtx --strategy simulated_annealing",
+        ))
+        .unwrap_err();
+        assert!(unknown.0.contains("simulated_annealing"), "{}", unknown.0);
     }
 
     #[test]
     fn resolve_strategy_defaults_names_and_conflicts() {
+        let resolve = |w, name, analytic| resolve_strategy(w, 42, name, analytic, None);
         assert_eq!(
-            resolve_strategy("cc", None, false).unwrap(),
+            resolve(Workload::Cc, None, false).unwrap(),
             Strategy::CoarseToFine
         );
         assert_eq!(
-            resolve_strategy("spmm", None, false).unwrap(),
+            resolve(Workload::Spmm, None, false).unwrap(),
             Strategy::RaceThenFine
         );
         assert_eq!(
-            resolve_strategy("hh", None, false).unwrap(),
+            resolve(Workload::Hh, None, false).unwrap(),
             Strategy::GradientDescent {
                 max_evals: DEFAULT_GRADIENT_EVALS
             }
         );
         assert_eq!(
-            resolve_strategy("cc", Some("analytic"), false).unwrap(),
+            resolve(Workload::Cc, Some("analytic"), false).unwrap(),
             Strategy::Analytic { step: None }
         );
         assert_eq!(
-            resolve_strategy("cc", None, true).unwrap(),
+            resolve(Workload::Cc, None, true).unwrap(),
             Strategy::Analytic { step: None }
         );
-        let conflict = resolve_strategy("cc", Some("exhaustive"), true).unwrap_err();
+        let conflict = resolve(Workload::Cc, Some("exhaustive"), true).unwrap_err();
         assert!(conflict.0.contains("mutually exclusive"), "{}", conflict.0);
-        let unknown = resolve_strategy("cc", Some("simulated_annealing"), false).unwrap_err();
+        let unknown = resolve(Workload::Cc, Some("simulated_annealing"), false).unwrap_err();
         assert!(unknown.0.contains("simulated_annealing"), "{}", unknown.0);
+        // A k-way set forces the analytic search; an explicit non-analytic
+        // strategy conflicts with it, and hh cannot take a set at all.
+        let set = DeviceSet::dual_cpu_dual_gpu();
+        assert_eq!(
+            resolve_strategy(Workload::Spmm, 42, None, false, Some(&set)).unwrap(),
+            Strategy::Analytic { step: None }
+        );
+        assert!(resolve_strategy(Workload::Cc, 42, Some("exhaustive"), false, Some(&set)).is_err());
+        assert!(resolve_strategy(Workload::Hh, 42, None, true, Some(&set)).is_err());
     }
 
     #[test]
     fn parse_batch_flags() {
-        let b = parse_args(&args("estimate spmm --batch reqs.txt --cache-size 64")).unwrap();
         assert_eq!(
-            b,
-            Command::Estimate {
-                workload: "spmm".into(),
-                input: None,
-                batch: Some("reqs.txt".into()),
-                cache_size: Some(64),
-                seed: 42,
-                exhaustive: false,
-                strategy: None,
-                analytic: false,
-                trace_out: None,
-                metrics: false,
-                metrics_out: None,
-                audit_out: None,
-                drift: None,
-                devices: None
+            request("estimate spmm --batch reqs.txt --cache-size 64").source,
+            Source::Batch {
+                path: "reqs.txt".into(),
+                cache_size: Some(64)
             }
         );
         // --input and --batch are mutually exclusive; one is required.
@@ -1908,24 +1696,11 @@ mod tests {
 
     #[test]
     fn parse_drift_flags() {
-        let d = parse_args(&args("estimate cc --input x.mtx --drift ops.jsonl")).unwrap();
         assert_eq!(
-            d,
-            Command::Estimate {
-                workload: "cc".into(),
-                input: Some("x.mtx".into()),
-                batch: None,
-                cache_size: None,
-                seed: 42,
-                exhaustive: false,
-                strategy: None,
-                analytic: false,
-                trace_out: None,
-                metrics: false,
-                metrics_out: None,
-                audit_out: None,
-                drift: Some("ops.jsonl".into()),
-                devices: None,
+            request("estimate cc --input x.mtx --drift ops.jsonl").source,
+            Source::Drift {
+                input: "x.mtx".into(),
+                script: "ops.jsonl".into()
             }
         );
         // --drift replays one input and owns the search path.
@@ -1960,23 +1735,12 @@ mod tests {
             out: mtx.to_str().unwrap().into(),
         })
         .unwrap();
-        let estimate = |workload: &str, drift: &std::path::Path, audit: Option<String>| {
-            run(&Command::Estimate {
-                workload: workload.into(),
-                input: Some(mtx.to_str().unwrap().into()),
-                batch: None,
-                cache_size: None,
-                seed: 3,
-                exhaustive: false,
-                strategy: None,
-                analytic: false,
-                trace_out: None,
-                metrics: false,
-                metrics_out: None,
-                audit_out: audit,
-                drift: Some(drift.to_str().unwrap().into()),
-                devices: None,
-            })
+        let estimate = |workload: &str, drift: &std::path::Path, audit: &str| {
+            exec(&format!(
+                "estimate {workload} --input {} --seed 3 --drift {} {audit}",
+                mtx.display(),
+                drift.display()
+            ))
         };
 
         // cc: local edge edits, a deletion, and an empty step (a no-op the
@@ -1987,7 +1751,7 @@ mod tests {
             "# cc deltas\n{\"insert\": [[1, 2], [2, 3]]}\n\n{\"delete\": [[1, 2]]}\n{}\n",
         )
         .unwrap();
-        let text = estimate("cc", &cc_ops, None).unwrap();
+        let text = estimate("cc", &cc_ops, "").unwrap();
         assert!(text.contains("drift replay"), "{text}");
         assert!(text.contains("base: threshold"), "{text}");
         assert_eq!(text.matches("step ").count(), 3, "{text}");
@@ -2004,7 +1768,7 @@ mod tests {
         )
         .unwrap();
         let audit = dir.join("drift.jsonl");
-        let text = estimate("spmm", &sp_ops, Some(audit.to_str().unwrap().into())).unwrap();
+        let text = estimate("spmm", &sp_ops, &format!("--audit-out {}", audit.display())).unwrap();
         assert_eq!(text.matches("step ").count(), 2, "{text}");
         assert!(text.contains("wrote audit log (2 events"), "{text}");
         let checked = run(&Command::Trace {
@@ -2023,9 +1787,9 @@ mod tests {
         // Malformed scripts name the offending line; hh has no delta form.
         let bad = dir.join("bad.jsonl");
         std::fs::write(&bad, "{\"insert\": [[1, 2]]}\nnonsense\n").unwrap();
-        let e = estimate("cc", &bad, None).unwrap_err();
+        let e = estimate("cc", &bad, "").unwrap_err();
         assert!(e.0.contains("line 2"), "{}", e.0);
-        let e = estimate("hh", &cc_ops, None).unwrap_err();
+        let e = estimate("hh", &cc_ops, "").unwrap_err();
         assert!(e.0.contains("no delta form"), "{}", e.0);
 
         for f in [&mtx, &cc_ops, &sp_ops, &audit, &bad] {
@@ -2083,22 +1847,11 @@ mod tests {
         })
         .unwrap();
         std::fs::write(&ops, "{\"op\": \"bogus\"}\n").unwrap();
-        let e = run(&Command::Estimate {
-            workload: "cc".into(),
-            input: Some(mtx.to_str().unwrap().into()),
-            batch: None,
-            cache_size: None,
-            seed: 3,
-            exhaustive: false,
-            strategy: None,
-            analytic: false,
-            trace_out: None,
-            metrics: false,
-            metrics_out: None,
-            audit_out: None,
-            drift: Some(ops.to_str().unwrap().into()),
-            devices: None,
-        })
+        let e = exec(&format!(
+            "estimate cc --input {} --seed 3 --drift {}",
+            mtx.display(),
+            ops.display()
+        ))
         .unwrap_err();
         assert!(e.0.contains("line 1") && e.0.contains("\"op\""), "{}", e.0);
         for f in [&mtx, &ops] {
@@ -2127,23 +1880,11 @@ mod tests {
         let (p1, p2) = (m1.to_str().unwrap(), m2.to_str().unwrap());
         std::fs::write(&reqs, format!("# batch\n{p1}\n\n{p2}\n{p1}\n{p1}\n")).unwrap();
 
-        for analytic in [false, true] {
-            let text = run(&Command::Estimate {
-                workload: "spmm".into(),
-                input: None,
-                batch: Some(reqs.to_str().unwrap().into()),
-                cache_size: Some(8),
-                seed: 3,
-                exhaustive: false,
-                strategy: None,
-                analytic,
-                trace_out: None,
-                metrics: false,
-                metrics_out: None,
-                audit_out: None,
-                drift: None,
-                devices: None,
-            })
+        for analytic in ["", "--analytic"] {
+            let text = exec(&format!(
+                "estimate spmm --batch {} --cache-size 8 --seed 3 {analytic}",
+                reqs.display()
+            ))
             .unwrap();
             assert!(text.contains("4 requests"), "{text}");
             assert_eq!(text.matches("threshold").count(), 4, "{text}");
@@ -2154,42 +1895,12 @@ mod tests {
         }
 
         // An unreadable request file and an empty one both fail loudly.
-        assert!(run(&Command::Estimate {
-            workload: "spmm".into(),
-            input: None,
-            batch: Some(dir.join("nope.txt").to_str().unwrap().into()),
-            cache_size: None,
-            seed: 3,
-            exhaustive: false,
-            strategy: None,
-            analytic: false,
-            trace_out: None,
-            metrics: false,
-            metrics_out: None,
-            audit_out: None,
-            drift: None,
-            devices: None
-        })
-        .is_err());
+        let batch =
+            |reqs: &std::path::Path| exec(&format!("estimate spmm --batch {}", reqs.display()));
+        assert!(batch(&dir.join("nope.txt")).is_err());
         let empty = dir.join("empty.txt");
         std::fs::write(&empty, "# nothing\n\n").unwrap();
-        assert!(run(&Command::Estimate {
-            workload: "spmm".into(),
-            input: None,
-            batch: Some(empty.to_str().unwrap().into()),
-            cache_size: None,
-            seed: 3,
-            exhaustive: false,
-            strategy: None,
-            analytic: false,
-            trace_out: None,
-            metrics: false,
-            metrics_out: None,
-            audit_out: None,
-            drift: None,
-            devices: None
-        })
-        .is_err());
+        assert!(batch(&empty).is_err());
         for f in [&m1, &m2, &reqs, &empty] {
             std::fs::remove_file(f).ok();
         }
@@ -2197,27 +1908,14 @@ mod tests {
 
     #[test]
     fn parse_observability_flags_and_report() {
-        let e = parse_args(&args(
-            "estimate cc --input x.mtx --metrics-out m.prom --audit-out a.jsonl",
-        ))
-        .unwrap();
+        let e = request("estimate cc --input x.mtx --metrics-out m.prom --audit-out a.jsonl");
         assert_eq!(
-            e,
-            Command::Estimate {
-                workload: "cc".into(),
-                input: Some("x.mtx".into()),
-                batch: None,
-                cache_size: None,
-                seed: 42,
-                exhaustive: false,
-                strategy: None,
-                analytic: false,
+            e.sinks,
+            Sinks {
                 trace_out: None,
                 metrics: false,
                 metrics_out: Some("m.prom".into()),
                 audit_out: Some("a.jsonl".into()),
-                drift: None,
-                devices: None,
             }
         );
         assert_eq!(
@@ -2262,22 +1960,11 @@ mod tests {
         // both export formats.
         let audit = dir.join("single.jsonl");
         let prom = dir.join("single.prom");
-        let text = run(&Command::Estimate {
-            workload: "cc".into(),
-            input: Some(p1.into()),
-            batch: None,
-            cache_size: None,
-            seed: 3,
-            exhaustive: false,
-            strategy: None,
-            analytic: false,
-            trace_out: None,
-            metrics: false,
-            metrics_out: Some(prom.to_str().unwrap().into()),
-            audit_out: Some(audit.to_str().unwrap().into()),
-            drift: None,
-            devices: None,
-        })
+        let text = exec(&format!(
+            "estimate cc --input {p1} --seed 3 --metrics-out {} --audit-out {}",
+            prom.display(),
+            audit.display()
+        ))
         .unwrap();
         assert!(text.contains("wrote audit log (1 events"), "{text}");
         assert!(text.contains("wrote metrics"), "{text}");
@@ -2300,22 +1987,13 @@ mod tests {
         std::fs::write(&reqs, format!("{p1}\n{p2}\n{p1}\n{p1}\n")).unwrap();
         let baudit = dir.join("batch.jsonl");
         let bmetrics = dir.join("batch.json");
-        let text = run(&Command::Estimate {
-            workload: "spmm".into(),
-            input: None,
-            batch: Some(reqs.to_str().unwrap().into()),
-            cache_size: Some(8),
-            seed: 3,
-            exhaustive: false,
-            strategy: None,
-            analytic: true,
-            trace_out: None,
-            metrics: false,
-            metrics_out: Some(bmetrics.to_str().unwrap().into()),
-            audit_out: Some(baudit.to_str().unwrap().into()),
-            drift: None,
-            devices: None,
-        })
+        let text = exec(&format!(
+            "estimate spmm --batch {} --cache-size 8 --seed 3 --analytic \
+             --metrics-out {} --audit-out {}",
+            reqs.display(),
+            bmetrics.display(),
+            baudit.display()
+        ))
         .unwrap();
         assert!(text.contains("wrote audit log (2 events"), "{text}");
         let dash = run(&Command::Report {
@@ -2490,24 +2168,16 @@ mod tests {
 
     #[test]
     fn parse_devices_flag() {
-        let e = parse_args(&args(
-            "estimate spmm --input x.mtx --devices dual-cpu-dual-gpu",
-        ))
-        .unwrap();
-        match e {
-            Command::Estimate { devices, .. } => {
-                assert_eq!(devices, Some(Box::new(DeviceSet::dual_cpu_dual_gpu())));
-            }
-            other => panic!("parsed {other:?}"),
-        }
+        let e = request("estimate spmm --input x.mtx --devices dual-cpu-dual-gpu");
+        assert_eq!(e.devices, Some(DeviceSet::dual_cpu_dual_gpu()));
         // Underscores are accepted interchangeably with hyphens.
-        let e = parse_args(&args("estimate cc --input x.mtx --devices cpu_gpu")).unwrap();
-        match e {
-            Command::Estimate { devices, .. } => {
-                assert_eq!(devices, Some(Box::new(DeviceSet::cpu_gpu())));
-            }
-            other => panic!("parsed {other:?}"),
-        }
+        let e = request("estimate cc --input x.mtx --devices quad_cpu_quad_gpu");
+        assert_eq!(e.devices, Some(DeviceSet::quad_cpu_quad_gpu()));
+        // The canonical pair is every serving path's default topology.
+        assert_eq!(
+            request("estimate cc --input x.mtx --devices cpu-gpu").devices,
+            None
+        );
 
         // An unknown preset names its argument position and the valid names.
         let bad = parse_args(&args("estimate spmm --input x.mtx --devices warp-pool")).unwrap_err();
@@ -2583,7 +2253,7 @@ mod tests {
             )))
         };
         let loaded = |cmd: Command| match cmd {
-            Command::Estimate { devices, .. } => *devices.expect("--devices parsed"),
+            Command::Estimate(req) => req.devices.expect("--devices parsed"),
             other => panic!("parsed {other:?}"),
         };
 
@@ -2608,7 +2278,8 @@ mod tests {
         assert_eq!(loaded(parse_with(&rig).unwrap()), set);
 
         // Defaults: name falls back to the file stem, speed to 1.0, link to
-        // host (CPU) / platform PCIe (GPU).
+        // host (CPU) / platform PCIe (GPU). That is the canonical pair, which
+        // a request carries as no k-way set.
         let pairish = dir.join("pairish.json");
         std::fs::write(
             &pairish,
@@ -2616,9 +2287,16 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            loaded(parse_with(&pairish).unwrap()),
-            DeviceSet::new("pairish", vec![Device::cpu(), Device::gpu()])
+            load_device_set_json(pairish.to_str().unwrap()),
+            Ok(DeviceSet::new(
+                "pairish",
+                vec![Device::cpu(), Device::gpu()]
+            ))
         );
+        assert!(matches!(
+            parse_with(&pairish),
+            Ok(Command::Estimate(EstimateRequest { devices: None, .. }))
+        ));
 
         // Structural errors carry the argument position and the device
         // index (the loader's own checks and `DeviceSet::try_new`'s alike).
@@ -2698,22 +2376,11 @@ mod tests {
         let reqs = dir.join("reqs.txt");
         std::fs::write(&reqs, format!("{p1}\n{p1}\n{p2}\n")).unwrap();
         let batch = |workload: &str| {
-            run(&Command::Estimate {
-                workload: workload.into(),
-                input: None,
-                batch: Some(reqs.to_str().unwrap().into()),
-                cache_size: Some(8),
-                seed: 3,
-                exhaustive: false,
-                strategy: None,
-                analytic: false,
-                trace_out: None,
-                metrics: false,
-                metrics_out: None,
-                audit_out: None,
-                drift: None,
-                devices: Some(Box::new(DeviceSet::dual_cpu_dual_gpu())),
-            })
+            exec(&format!(
+                "estimate {workload} --batch {} --cache-size 8 --seed 3 \
+                 --devices dual-cpu-dual-gpu",
+                reqs.display()
+            ))
         };
         let text = batch("spmm").unwrap();
         assert_eq!(text.matches("cuts [").count(), 3, "{text}");
@@ -2731,22 +2398,12 @@ mod tests {
         )
         .unwrap();
         let audit = dir.join("kway-drift.jsonl");
-        let text = run(&Command::Estimate {
-            workload: "cc".into(),
-            input: Some(p1.into()),
-            batch: None,
-            cache_size: None,
-            seed: 3,
-            exhaustive: false,
-            strategy: None,
-            analytic: false,
-            trace_out: None,
-            metrics: false,
-            metrics_out: None,
-            audit_out: Some(audit.to_str().unwrap().into()),
-            drift: Some(ops.to_str().unwrap().into()),
-            devices: Some(Box::new(DeviceSet::dual_cpu_dual_gpu())),
-        })
+        let text = exec(&format!(
+            "estimate cc --input {p1} --seed 3 --audit-out {} --drift {} \
+             --devices dual-cpu-dual-gpu",
+            audit.display(),
+            ops.display()
+        ))
         .unwrap();
         assert!(text.contains("base: cuts ["), "{text}");
         assert!(text.contains("(k = 4)"), "{text}");
@@ -2784,32 +2441,18 @@ mod tests {
             out: mtx.to_str().unwrap().into(),
         })
         .unwrap();
-        let estimate =
-            |workload: &str, set: DeviceSet, audit: Option<String>, m: Option<String>| {
-                run(&Command::Estimate {
-                    workload: workload.into(),
-                    input: Some(mtx.to_str().unwrap().into()),
-                    batch: None,
-                    cache_size: None,
-                    seed: 3,
-                    exhaustive: false,
-                    strategy: None,
-                    analytic: false,
-                    trace_out: None,
-                    metrics: false,
-                    metrics_out: m,
-                    audit_out: audit,
-                    drift: None,
-                    devices: Some(Box::new(set)),
-                })
-            };
+        let estimate = |workload: &str, set: &str, sinks: &str| {
+            exec(&format!(
+                "estimate {workload} --input {} --seed 3 --devices {set} {sinks}",
+                mtx.display()
+            ))
+        };
 
         let metrics = dir.join("kway.json");
         let text = estimate(
             "spmm",
-            DeviceSet::dual_cpu_dual_gpu(),
-            None,
-            Some(metrics.to_str().unwrap().into()),
+            "dual-cpu-dual-gpu",
+            &format!("--metrics-out {}", metrics.display()),
         )
         .unwrap();
         assert!(
@@ -2828,7 +2471,7 @@ mod tests {
         assert_eq!(text.matches("% of the work").count(), 4, "{text}");
 
         // cc prices bands too (k = 8 preset).
-        let text = estimate("cc", DeviceSet::quad_cpu_quad_gpu(), None, None).unwrap();
+        let text = estimate("cc", "quad-cpu-quad-gpu", "").unwrap();
         assert_eq!(text.matches("% of the work").count(), 8, "{text}");
 
         // The gauges landed in the snapshot and the dashboard renders the
@@ -2836,9 +2479,8 @@ mod tests {
         let audit = dir.join("kway-audit.jsonl");
         estimate(
             "spmm",
-            DeviceSet::cpu_gpu(), // canonical: serving path records audit
-            Some(audit.to_str().unwrap().into()),
-            None,
+            "cpu-gpu", // canonical: serving path records audit
+            &format!("--audit-out {}", audit.display()),
         )
         .unwrap();
         let dash = run(&Command::Report {
@@ -2850,26 +2492,10 @@ mod tests {
         assert!(dash.contains("d3"), "{dash}");
 
         // hh partitions by a predicate, not contiguous spans.
-        let e = estimate("hh", DeviceSet::dual_cpu_dual_gpu(), None, None).unwrap_err();
+        let e = estimate("hh", "dual-cpu-dual-gpu", "").unwrap_err();
         assert!(e.0.contains("cc | spmm"), "{}", e.0);
         // An explicit non-analytic strategy conflicts with a k-way set.
-        let e = run(&Command::Estimate {
-            workload: "spmm".into(),
-            input: Some(mtx.to_str().unwrap().into()),
-            batch: None,
-            cache_size: None,
-            seed: 3,
-            exhaustive: false,
-            strategy: Some("coarse_to_fine".into()),
-            analytic: false,
-            trace_out: None,
-            metrics: false,
-            metrics_out: None,
-            audit_out: None,
-            drift: None,
-            devices: Some(Box::new(DeviceSet::dual_cpu_dual_gpu())),
-        })
-        .unwrap_err();
+        let e = estimate("spmm", "dual-cpu-dual-gpu", "--strategy coarse_to_fine").unwrap_err();
         assert!(e.0.contains("--analytic"), "{}", e.0);
 
         for f in [&mtx, &metrics, &audit] {
@@ -2916,45 +2542,16 @@ mod tests {
         assert!(msg.contains("wrote"));
 
         for wl in ["cc", "spmm", "hh"] {
-            let text = run(&Command::Estimate {
-                workload: wl.into(),
-                input: Some(path_s.clone()),
-                batch: None,
-                cache_size: None,
-                seed: 3,
-                exhaustive: false,
-                strategy: None,
-                analytic: false,
-                trace_out: None,
-                metrics: false,
-                metrics_out: None,
-                audit_out: None,
-                drift: None,
-                devices: None,
-            })
-            .unwrap();
+            let text = exec(&format!("estimate {wl} --input {path_s} --seed 3")).unwrap();
             assert!(text.contains("estimated threshold"), "{wl}: {text}");
         }
 
         // Analytic descent routes through the profiled estimator and reports
         // its strategy name in the header.
         for wl in ["cc", "spmm", "hh"] {
-            let text = run(&Command::Estimate {
-                workload: wl.into(),
-                input: Some(path_s.clone()),
-                batch: None,
-                cache_size: None,
-                seed: 3,
-                exhaustive: false,
-                strategy: None,
-                analytic: true,
-                trace_out: None,
-                metrics: false,
-                metrics_out: None,
-                audit_out: None,
-                drift: None,
-                devices: None,
-            })
+            let text = exec(&format!(
+                "estimate {wl} --input {path_s} --seed 3 --analytic"
+            ))
             .unwrap();
             assert!(text.contains("(analytic)"), "{wl}: {text}");
             assert!(text.contains("estimated threshold"), "{wl}: {text}");
@@ -2977,22 +2574,10 @@ mod tests {
         .unwrap();
 
         let capture = |trace_path: &std::path::Path, wl: &str| -> String {
-            let text = run(&Command::Estimate {
-                workload: wl.into(),
-                input: Some(mtx_s.clone()),
-                batch: None,
-                cache_size: None,
-                seed: 5,
-                exhaustive: false,
-                strategy: None,
-                analytic: false,
-                trace_out: Some(trace_path.to_str().unwrap().into()),
-                metrics: true,
-                metrics_out: None,
-                audit_out: None,
-                drift: None,
-                devices: None,
-            })
+            let text = exec(&format!(
+                "estimate {wl} --input {mtx_s} --seed 5 --trace-out {} --metrics",
+                trace_path.display()
+            ))
             .unwrap();
             assert!(text.contains("wrote trace"), "{text}");
             std::fs::read_to_string(trace_path).unwrap()
@@ -3070,22 +2655,7 @@ mod tests {
 
     #[test]
     fn estimate_rejects_missing_file() {
-        assert!(run(&Command::Estimate {
-            workload: "cc".into(),
-            input: Some("/nonexistent/file.mtx".into()),
-            batch: None,
-            cache_size: None,
-            seed: 1,
-            exhaustive: false,
-            strategy: None,
-            analytic: false,
-            trace_out: None,
-            metrics: false,
-            metrics_out: None,
-            audit_out: None,
-            drift: None,
-            devices: None
-        })
-        .is_err());
+        let e = exec("estimate cc --input /nonexistent/file.mtx --seed 1").unwrap_err();
+        assert!(e.0.contains("cannot open /nonexistent/file.mtx"), "{}", e.0);
     }
 }

@@ -218,10 +218,8 @@ impl DriftDecision {
 pub struct DriftStep {
     /// How the step was resolved.
     pub decision: DriftDecision,
-    /// First cut of the served partition (the scalar threshold on the
-    /// canonical pair).
-    pub threshold: f64,
-    /// Full cut vector now being served (`k − 1` thresholds, ascending).
+    /// Full cut vector now being served (`k − 1` thresholds, ascending;
+    /// `cuts[0]` is the scalar threshold on the canonical pair).
     pub cuts: Vec<f64>,
     /// Curve total at the served partition.
     pub total: SimTime,
@@ -319,13 +317,6 @@ impl<'a, W: DriftWorkload> DriftServer<'a, W> {
         (m.thresholds, m.total, m.probes)
     }
 
-    /// Overrides the search step (defaults to the space's fine step).
-    #[must_use]
-    pub fn with_step(mut self, step: f64) -> Self {
-        self.step = step;
-        self
-    }
-
     /// Serves full k-way cut vectors for `set` instead of the canonical
     /// pair: re-runs the initial cold minimization (the profile is
     /// topology-independent and is reused) and re-seeds the adaptive
@@ -383,14 +374,8 @@ impl<'a, W: DriftWorkload> DriftServer<'a, W> {
         self
     }
 
-    /// First cut of the served partition (the scalar threshold on the
-    /// canonical pair).
-    #[must_use]
-    pub fn threshold(&self) -> f64 {
-        self.thresholds[0]
-    }
-
-    /// Full cut vector currently being served (`k − 1` thresholds).
+    /// Full cut vector currently being served (`k − 1` thresholds;
+    /// `cuts()[0]` is the scalar threshold on the canonical pair).
     #[must_use]
     pub fn cuts(&self) -> &[f64] {
         &self.thresholds
@@ -539,7 +524,6 @@ impl<'a, W: DriftWorkload> DriftServer<'a, W> {
         self.steps += 1;
         DriftStep {
             decision,
-            threshold: new_cuts[0],
             cuts: new_cuts,
             total: minimum.total,
             probes: minimum.probes,
@@ -603,7 +587,7 @@ mod tests {
         for (i, d) in deltas.iter().enumerate() {
             let step = server.apply(d);
             let (t, total) = cold(server.workload());
-            assert_eq!(step.threshold, t, "step {i}");
+            assert_eq!(step.cuts[0], t, "step {i}");
             assert_eq!(step.total, total, "step {i}");
             assert_ne!(step.decision, DriftDecision::Rebuilt, "step {i}");
         }
@@ -632,7 +616,7 @@ mod tests {
         for (i, d) in deltas.iter().enumerate() {
             let step = server.apply(d);
             let (t, total) = cold(server.workload());
-            assert_eq!(step.threshold, t, "step {i}");
+            assert_eq!(step.cuts[0], t, "step {i}");
             assert_eq!(step.total, total, "step {i}");
         }
     }
@@ -644,7 +628,7 @@ mod tests {
         assert_eq!(step.decision, DriftDecision::Rebuilt);
         assert_eq!(step.span, 0..900);
         let (t, total) = cold(server.workload());
-        assert_eq!(step.threshold, t);
+        assert_eq!(step.cuts[0], t);
         assert_eq!(step.total, total);
     }
 

@@ -59,9 +59,8 @@ pub mod prelude {
     };
     pub use crate::evalcache::EvalCache;
     pub use crate::experiment::{
-        fill_naive_average, run_corpus, run_one, run_one_profiled, run_one_with, sensitivity,
-        sensitivity_resampled, summarize, ExperimentConfig, ExperimentRow, SensitivityPoint,
-        Summary,
+        fill_naive_average, run_corpus, run_one, run_one_with, sensitivity, sensitivity_resampled,
+        summarize, ExperimentConfig, ExperimentRow, SensitivityPoint, Summary,
     };
     pub use crate::extrapolate::{calibrate_extrapolator, fit_power, Extrapolator};
     pub use crate::fingerprint::{DensityClass, Fingerprint, FingerprintDelta, Fingerprinted};

@@ -92,6 +92,10 @@ pub enum HhSampler {
 
 /// The HH-CPU workload over a fixed scale-free matrix (`B = A`) and
 /// platform.
+///
+/// Only the sparsity pattern is priced: the density predicate counts
+/// nonzeros per row, so matrix values (NaN included) never enter a
+/// threshold or a run report.
 #[derive(Clone)]
 pub struct HhWorkload {
     a: Arc<Csr>,

@@ -30,6 +30,9 @@ use crate::profile::{Profilable, Resampleable};
 /// SpGEMM pass) so threshold sweeps price runs in O(rows) — the profile is
 /// provably identical to the counters a physical run reports
 /// ([`SpmmWorkload::run_numeric`] asserts this).
+///
+/// Only the sparsity pattern is priced: matrix values (NaN included) never
+/// enter a threshold, a run report or a partition.
 #[derive(Clone)]
 pub struct SpmmWorkload {
     a: Arc<Csr>,

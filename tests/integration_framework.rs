@@ -106,7 +106,7 @@ fn summaries_and_tables_render_from_real_rows() {
         .collect();
     let cfg = ExperimentConfig::cc(SEED);
     let mut rows: Vec<ExperimentRow> = suite.iter().map(|(n, w)| run_one(n, w, &cfg)).collect();
-    let ws: Vec<CcWorkload> = suite.into_iter().map(|(_, w)| w).collect();
+    let ws: Vec<&CcWorkload> = suite.iter().map(|(_, w)| w).collect();
     fill_naive_average(&mut rows, &ws);
 
     let tt = report::threshold_table(&rows);
@@ -181,4 +181,60 @@ fn estimator_runs_on_inputs_below_the_minimum_sample() {
         assert!(est.sample_size <= n, "hh samples at most the whole input");
         check("hh", est.threshold, &hh.space(), hh.time_at(est.threshold));
     }
+}
+
+/// Matrix values are never priced: a 64-vertex ring with NaN diagonal
+/// values estimates, runs and partitions exactly like the same pattern
+/// with 1.0 values.
+#[test]
+fn nan_matrix_values_never_enter_pricing() {
+    let ring = |diagonal: &str| {
+        let mut text = "%%MatrixMarket matrix coordinate real general\n64 64 128\n".to_string();
+        for i in 1..=64 {
+            text.push_str(&format!("{i} {i} {diagonal}\n{} {i} 1.0\n", i % 64 + 1));
+        }
+        nbwp_sparse::io::read_matrix_market(text.as_bytes()).expect("valid MatrixMarket")
+    };
+    let (nan, ones) = (ring("NaN"), ring("1.0"));
+    let platform = Platform::k40c_xeon_e5_2650();
+
+    // Every case study at its paper default strategy: the estimate (bits
+    // included) and the run at its threshold.
+    fn same_estimate<W: Sampleable>(what: &str, nan: &W, ones: &W, config: ExperimentConfig) {
+        let a = Estimator::new(config.strategy).seed(SEED).run(nan);
+        let b = Estimator::new(config.strategy).seed(SEED).run(ones);
+        assert_eq!(a.threshold.to_bits(), b.threshold.to_bits(), "{what}");
+        assert_eq!(a, b, "{what}");
+        assert_eq!(nan.run(a.threshold), ones.run(b.threshold), "{what}");
+    }
+    let cc = |a: &nbwp_sparse::Csr| CcWorkload::new(nbwp_graph::Graph::from_matrix(a), platform);
+    let spmm = |a: &nbwp_sparse::Csr| SpmmWorkload::new(a.clone(), platform);
+    let hh = |a: &nbwp_sparse::Csr| HhWorkload::new(a.clone(), platform);
+    same_estimate("cc", &cc(&nan), &cc(&ones), ExperimentConfig::cc(SEED));
+    same_estimate(
+        "spmm",
+        &spmm(&nan),
+        &spmm(&ones),
+        ExperimentConfig::spmm(SEED),
+    );
+    same_estimate(
+        "hh",
+        &hh(&nan),
+        &hh(&ones),
+        ExperimentConfig::scalefree(SEED),
+    );
+
+    // The k-way analytic partitions on a four-device topology.
+    let set = DeviceSet::dual_cpu_dual_gpu();
+    let searcher = Searcher::new(Strategy::Analytic { step: None }).profiled();
+    assert_eq!(
+        searcher.run_partition(&cc(&nan), &set),
+        searcher.run_partition(&cc(&ones), &set),
+        "cc k-way"
+    );
+    assert_eq!(
+        searcher.run_partition(&spmm(&nan), &set),
+        searcher.run_partition(&spmm(&ones), &set),
+        "spmm k-way"
+    );
 }

@@ -219,7 +219,7 @@ proptest! {
                 None,
             )
             .expect("the canonical pair prices every curve");
-            prop_assert_eq!(step.threshold.to_bits(), cold.thresholds[0].to_bits(), "step {}", i);
+            prop_assert_eq!(step.cuts[0].to_bits(), cold.thresholds[0].to_bits(), "step {}", i);
             prop_assert_eq!(step.total, cold.total, "step {}", i);
         }
     }
