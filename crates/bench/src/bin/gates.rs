@@ -4,7 +4,7 @@
 //! every enforced gate passed, 1 otherwise, 2 on a usage error.
 //!
 //! Usage: `gates [--quick] [--out <path>] [--seed <u64>] [--audit-out <path>]
-//! [profile|eval|search|serve|drift ...]` (all sections when none is named).
+//! [profile|eval|search|serve|drift|ingest ...]` (all sections when none is named).
 
 use nbwp_bench::gates::{self, Config, USAGE};
 

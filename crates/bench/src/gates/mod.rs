@@ -1,4 +1,4 @@
-//! The gate runner behind the `gates` binary: five sections, each
+//! The gate runner behind the `gates` binary: six sections, each
 //! returning its report body and recording its checks as
 //! [`Gate`](crate::harness::Gate)s, folded into one `nbwp-bench/v1`
 //! envelope whose exit code is the only CI signal.
@@ -10,9 +10,11 @@
 //! | `search`  | thread scaling: simulated results identical at 1/2/4/8 workers, a multi-core speedup |
 //! | `serve`   | amortized serving: exact hit ≡ cold, batch ≡ cold, audited ≡ silent, warm speedup, audit overhead, warm k-way |
 //! | `drift`   | incremental drift: patch ≡ rebuild, chained fingerprints, serve regret, adaptive crossover, patched vs cold |
+//! | `ingest`  | MatrixMarket parse ≡ the generator's `Csr` (general, symmetric and pattern encodings), `Graph::from_matrix` ≡ `from_edges`, parse MB/s and build time |
 
 pub mod drift;
 pub mod eval;
+pub mod ingest;
 pub mod profile;
 pub mod search;
 pub mod serve;
@@ -33,17 +35,18 @@ pub const QUICK_SKIP: &str = "wall-clock gates are skipped in --quick mode";
 pub type Section = fn(&Config, &mut Gates) -> Value;
 
 /// Every section, in run order.
-pub const SECTIONS: [(&str, Section); 5] = [
+pub const SECTIONS: [(&str, Section); 6] = [
     ("profile", profile::run),
     ("eval", eval::run),
     ("search", search::run),
     ("serve", serve::run),
     ("drift", drift::run),
+    ("ingest", ingest::run),
 ];
 
 /// Usage line of the `gates` binary.
 pub const USAGE: &str = "usage: gates [--quick] [--out path] [--seed u64] [--audit-out path] \
-                         [profile|eval|search|serve|drift ...]";
+                         [profile|eval|search|serve|drift|ingest ...]";
 
 /// Parsed command line of the `gates` binary.
 #[derive(Clone, Debug)]
@@ -191,7 +194,7 @@ mod tests {
         assert_eq!(cfg.audit_out, PathBuf::from("BENCH_serve_audit.jsonl"));
         assert_eq!(
             cfg.sections,
-            ["profile", "eval", "search", "serve", "drift"]
+            ["profile", "eval", "search", "serve", "drift", "ingest"]
         );
 
         let cfg = parse(&["drift", "--quick", "--seed", "7", "--out", "x.json", "eval"])

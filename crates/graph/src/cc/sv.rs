@@ -202,6 +202,7 @@ pub fn sv_band_counts(g: &Graph, lo: usize, hi: usize) -> (u32, u32, u64) {
     let start = lo;
     let mut parent: Vec<u32> = (0..n as u32).collect();
     let mut cand: Vec<u32> = vec![0; n];
+    let mut next: Vec<u32> = vec![0; n];
     let mut rounds = 0u32;
     let mut doubling_passes = 0u32;
     loop {
@@ -226,15 +227,13 @@ pub fn sv_band_counts(g: &Graph, lo: usize, hi: usize) -> (u32, u32, u64) {
         let mut compressed_any = false;
         loop {
             let mut changed = false;
-            let next: Vec<u32> = (0..n)
-                .map(|v| {
-                    let x = parent[parent[v] as usize];
-                    changed |= x != parent[v];
-                    x
-                })
-                .collect();
+            for (v, slot) in next.iter_mut().enumerate() {
+                let x = parent[parent[v] as usize];
+                changed |= x != parent[v];
+                *slot = x;
+            }
             doubling_passes += 1;
-            parent = next;
+            std::mem::swap(&mut parent, &mut next);
             compressed_any |= changed;
             if !changed {
                 break;

@@ -50,23 +50,62 @@ impl Graph {
     /// `(j, i)` becomes the undirected edge `{i, j}` (the usual
     /// "matrix as graph" reading used for the Table II matrices).
     ///
+    /// Equal to [`Graph::from_edges`] over the off-diagonal entries, built
+    /// in O(n + nnz) without a sort: a counting-sort transpose leaves every
+    /// column of `m` as a sorted row of Aᵀ, and vertex `v`'s neighbors are
+    /// the union of row `v` of A and of Aᵀ — two sorted, duplicate-free
+    /// rows, merged — without `v` itself.
+    ///
     /// # Panics
     /// Panics if the matrix is not square.
     #[must_use]
     pub fn from_matrix(m: &Csr) -> Self {
         assert_eq!(m.rows(), m.cols(), "graph adjacency must be square");
-        let edges: Vec<(u32, u32)> = m
-            .iter()
-            .filter(|&(r, c, _)| r as u32 != c)
-            .map(|(r, c, _)| (r as u32, c))
-            .collect();
-        Graph::from_edges(m.rows(), &edges)
+        let (n, ptr, cols) = (m.rows(), m.row_ptr(), m.col_indices());
+        let mut t_ptr = vec![0usize; n + 1];
+        for &c in cols {
+            t_ptr[c as usize + 1] += 1;
+        }
+        for i in 0..n {
+            t_ptr[i + 1] += t_ptr[i];
+        }
+        let mut next = t_ptr[..n].to_vec();
+        let mut t_rows = vec![0u32; cols.len()];
+        for r in 0..n {
+            for &c in &cols[ptr[r]..ptr[r + 1]] {
+                t_rows[next[c as usize]] = r as u32;
+                next[c as usize] += 1;
+            }
+        }
+        drop(next);
+
+        let mut adj_ptr = Vec::with_capacity(n + 1);
+        adj_ptr.push(0);
+        let mut adj = Vec::with_capacity(2 * cols.len());
+        for v in 0..n {
+            let (a, b) = (&cols[ptr[v]..ptr[v + 1]], &t_rows[t_ptr[v]..t_ptr[v + 1]]);
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() && j < b.len() {
+                let (x, y) = (a[i], b[j]);
+                let w = x.min(y);
+                i += usize::from(x == w);
+                j += usize::from(y == w);
+                if w as usize != v {
+                    adj.push(w);
+                }
+            }
+            adj.extend(a[i..].iter().chain(&b[j..]).filter(|&&w| w as usize != v));
+            adj_ptr.push(adj.len());
+        }
+        adj.shrink_to_fit();
+        Graph::from_sorted_parts(n, adj_ptr, adj)
     }
 
     /// Builds a graph directly from CSR adjacency arrays the caller has
     /// already put into invariant form (symmetric, per-vertex sorted,
-    /// duplicate- and self-loop-free). Used by the delta applier, which
-    /// produces merged adjacency without going back through an edge list.
+    /// duplicate- and self-loop-free). Used by the delta applier and
+    /// [`Graph::from_matrix`], which produce merged adjacency without going
+    /// back through an edge list.
     pub(crate) fn from_sorted_parts(n: usize, adj_ptr: Vec<usize>, adj: Vec<u32>) -> Self {
         debug_assert_eq!(adj_ptr.len(), n + 1);
         debug_assert_eq!(*adj_ptr.last().unwrap_or(&0), adj.len());

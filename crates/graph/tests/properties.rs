@@ -101,3 +101,37 @@ proptest! {
         prop_assert!(c2 <= c1);
     }
 }
+
+/// A random square matrix with an asymmetric pattern, diagonal entries and
+/// empty rows; `n` is one of 0, 1, 2, 7, 23 and 40.
+fn arb_square() -> impl Strategy<Value = nbwp_sparse::Csr> {
+    (0usize..6).prop_flat_map(|k| {
+        let n = [0, 1, 2, 7, 23, 40][k];
+        let cells = if n == 0 { 0..=0 } else { 0..=3 * n };
+        proptest::collection::vec((0..n.max(1), 0..n.max(1), 0u8..4), cells).prop_map(
+            move |entries| {
+                let mut coo = nbwp_sparse::Coo::new(n, n);
+                for (r, c, diag) in entries {
+                    // One entry in four lands on the diagonal.
+                    let c = if diag == 0 { r } else { c };
+                    coo.push(r, c, 1.0);
+                }
+                coo.into_csr()
+            },
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn from_matrix_equals_from_edges_over_off_diagonal_entries(m in arb_square()) {
+        let edges: Vec<(u32, u32)> = m
+            .iter()
+            .filter(|&(r, c, _)| r != c as usize)
+            .map(|(r, c, _)| (r as u32, c))
+            .collect();
+        prop_assert_eq!(Graph::from_matrix(&m), Graph::from_edges(m.rows(), &edges));
+    }
+}
